@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (AlgebraDescriptor, AlgebraError, Element, FunctionalRep,
-                      functional_norm)
+from .algebra import AlgebraDescriptor, AlgebraError, Element, FunctionalRep
 from .config import Tolerances, DEFAULT_TOLS
 from .grids import Grid, modulus_of_continuity
 
@@ -179,12 +178,13 @@ def compress_norm_field(phi: MapField, h: Element) -> np.ndarray:
     return pointwise_norm(compress(phi, h))
 
 
-def refine_map_field(phi: MapField, fine_grid: Grid,
-                     prolong: np.ndarray) -> MapField:
-    """Transfer a map field to a refined grid by linear interpolation."""
-    stacks = [np.einsum("mn,nij->mij", prolong, s) for s in phi.stacks]
+def refine_map_field(phi: MapField, fine_grid: Grid, prolong) -> MapField:
+    """Transfer a map field to a refined grid by linear interpolation.
+
+    ``prolong`` is the sparse matrix from :func:`grids.refine`; each fine
+    node's matrices are the prolongation-weighted sum of coarse ones.
+    """
+    n = phi.grid.n
+    stacks = [(prolong @ s.reshape(n, -1)).reshape((-1,) + s.shape[1:])
+              for s in phi.stacks]
     return MapField(fine_grid, phi.algebra, stacks)
-
-
-def functional_norm_at(phi: MapField, t: int) -> float:
-    return functional_norm(phi.rho_at(t))

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.csgraph import dijkstra as _dijkstra
 
 
@@ -51,8 +52,12 @@ class Grid:
             raise GridError("edges and lengths disagree in count")
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise GridError("edge endpoint out of range")
-        if np.any(lengths <= 0):
-            raise GridError("edge lengths must be positive")
+        if not np.all(np.isfinite(lengths) & (lengths > 0)):
+            raise GridError("edge lengths must be positive and finite")
+        loops = np.flatnonzero(edges[:, 0] == edges[:, 1])
+        if loops.size:
+            raise GridError(f"edge {loops[0]} is a self-loop at node "
+                            f"{edges[loops[0], 0]}")
         infinity = tuple(sorted(int(i) for i in infinity))
         if any(i < 0 or i >= n for i in infinity):
             raise GridError("infinity node id out of range")
@@ -63,26 +68,27 @@ class Grid:
         self.infinity = infinity
         self.positions = None if positions is None else \
             np.asarray(positions, dtype=float).reshape(n)
-        self._neighbors = [[] for _ in range(n)]
-        for (i, j), w in zip(edges, lengths):
-            self._neighbors[i].append((int(j), float(w)))
-            self._neighbors[j].append((int(i), float(w)))
-        if n > 1 and not self._connected():
+        self._neighbors = None
+        self._adj = self._adjacency()
+        if connected_components(self._adj, directed=False,
+                                return_labels=False) != 1:
             raise GridError("grid is not connected")
 
-    def _connected(self) -> bool:
-        seen = np.zeros(self.n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            i = stack.pop()
-            for j, _ in self._neighbors[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        return bool(seen.all())
+    def _adjacency(self) -> csr_matrix:
+        """Symmetric (n, n) CSR matrix of edge lengths."""
+        i, j = self.edges[:, 0], self.edges[:, 1]
+        w = self.lengths
+        return csr_matrix((np.concatenate([w, w]),
+                           (np.concatenate([i, j]), np.concatenate([j, i]))),
+                          shape=(self.n, self.n))
 
     def neighbors(self, i: int):
+        """``(node, length)`` pairs of node i, in edge order."""
+        if self._neighbors is None:
+            self._neighbors = [[] for _ in range(self.n)]
+            for (a, b), w in zip(self.edges.tolist(), self.lengths.tolist()):
+                self._neighbors[a].append((b, w))
+                self._neighbors[b].append((a, w))
         return self._neighbors[i]
 
     def check_field(self, g) -> np.ndarray:
@@ -98,12 +104,8 @@ class Grid:
         sources = list(sources)
         if not sources:
             return np.full(self.n, np.inf)
-        i, j = self.edges[:, 0], self.edges[:, 1]
-        w = self.lengths
-        mat = csr_matrix((np.concatenate([w, w]),
-                          (np.concatenate([i, j]), np.concatenate([j, i]))),
-                         shape=(self.n, self.n))
-        d = _dijkstra(mat, directed=False, indices=sources, min_only=True)
+        d = _dijkstra(self._adj, directed=False, indices=sources,
+                      min_only=True)
         return np.asarray(d, dtype=float)
 
 
@@ -131,25 +133,25 @@ def refine(grid: Grid):
     """Split every edge at its midpoint.
 
     Returns ``(fine, prolong)`` where ``prolong`` is the (n_new, n_old)
-    linear-interpolation matrix: original nodes keep their ids and values,
-    each new midpoint node averages its edge's endpoints.
+    linear-interpolation matrix in CSR form: original nodes keep their ids
+    and values (identity rows), and the midpoint of edge e is node
+    ``n_old + e`` with 0.5 at both endpoints of that edge.
     """
-    m = grid.edges.shape[0]
-    n_new = grid.n + m
-    edges, lengths = [], []
-    prolong = np.zeros((n_new, grid.n))
-    prolong[:grid.n, :] = np.eye(grid.n)
+    n, m = grid.n, grid.edges.shape[0]
+    i, j = grid.edges[:, 0], grid.edges[:, 1]
+    mid = n + np.arange(m)
+    half = grid.lengths / 2
+    edges = np.stack([i, mid, mid, j], axis=1).reshape(2 * m, 2)
+    lengths = np.repeat(half, 2)
     positions = None
     if grid.positions is not None:
-        positions = np.concatenate([grid.positions, np.zeros(m)])
-    for e, ((i, j), w) in enumerate(zip(grid.edges, grid.lengths)):
-        mid = grid.n + e
-        edges += [(i, mid), (mid, j)]
-        lengths += [w / 2, w / 2]
-        prolong[mid, i] = prolong[mid, j] = 0.5
-        if positions is not None:
-            positions[mid] = grid.positions[i] + w / 2
-    return (Grid(grid.kind, n_new, edges, lengths, grid.infinity, positions),
+        positions = np.concatenate([grid.positions, grid.positions[i] + half])
+    # column indices ascend within each row, so the CSR matrix is canonical
+    cols = np.concatenate([np.arange(n), np.sort(grid.edges, axis=1).ravel()])
+    indptr = np.concatenate([np.arange(n), n + 2 * np.arange(m + 1)])
+    prolong = csr_matrix((np.concatenate([np.ones(n), np.full(2 * m, 0.5)]),
+                          cols, indptr), shape=(n + m, n))
+    return (Grid(grid.kind, n + m, edges, lengths, grid.infinity, positions),
             prolong)
 
 

@@ -35,13 +35,11 @@ class DecompositionResult:
     min_eigenvalue: float    # most negative eigenvalue across both parts
 
 
-def decompose_map(phi: MapField, tols: Tolerances = DEFAULT_TOLS) -> DecompositionResult:
-    """Split every node's functional into positive and negative parts.
+def split_map(phi: MapField, tols: Tolerances = DEFAULT_TOLS):
+    """Positive and negative parts ``(plus, minus)`` of every node's map.
 
-    Works for any map field; absolute continuity is not required (it only
-    governs whether the output varies continuously).  Per node and block the
-    split is the spectral sign decomposition with kernel threshold
-    ``tols.eig_zero``.
+    Per node and block this is the spectral sign decomposition with kernel
+    threshold ``tols.eig_zero``.
     """
     plus_stacks, minus_stacks = [], []
     for b, s in enumerate(phi.stacks):
@@ -54,9 +52,19 @@ def decompose_map(phi: MapField, tols: Tolerances = DEFAULT_TOLS) -> Decompositi
         uc = np.conj(np.transpose(u, (0, 2, 1)))
         plus_stacks.append(np.einsum("nij,nj,njk->nik", u, wp, uc))
         minus_stacks.append(np.einsum("nij,nj,njk->nik", u, wm, uc))
-    plus = MapField(phi.grid, phi.algebra, plus_stacks)
-    minus = MapField(phi.grid, phi.algebra, minus_stacks)
+    return (MapField(phi.grid, phi.algebra, plus_stacks),
+            MapField(phi.grid, phi.algebra, minus_stacks))
 
+
+def decompose_map(phi: MapField, tols: Tolerances = DEFAULT_TOLS) -> DecompositionResult:
+    """Split every node's functional into positive and negative parts.
+
+    Works for any map field; absolute continuity is not required (it only
+    governs whether the output varies continuously).  The split is
+    :func:`split_map`; the result adds the norm fields, the reconstruction
+    residual and the most negative eigenvalue of the parts.
+    """
+    plus, minus = split_map(phi, tols)
     recon = 0.0
     for s, p, q in zip(phi.stacks, plus.stacks, minus.stacks):
         recon = max(recon, float(np.max(np.abs(s - (p - q)))))
@@ -125,16 +133,17 @@ def continuity_report(result: DecompositionResult, test_elements=None,
     jumps = np.zeros((n_el, 2, refinements + 1))
 
     grid, phi = result.phi.grid, result.phi
+    plus, minus = result.plus, result.minus
     for level in range(refinements + 1):
-        dec = decompose_map(phi) if level else result
-        for e, (_, x) in enumerate(test_elements):
-            jumps[e, 0, level] = modulus_of_continuity(
-                evaluate(dec.plus, x), grid).max_jump
-            jumps[e, 1, level] = modulus_of_continuity(
-                evaluate(dec.minus, x), grid).max_jump
-        if level < refinements:
+        if level:
             grid, prolong = refine(grid)
             phi = refine_map_field(phi, grid, prolong)
+            plus, minus = split_map(phi)
+        for e, (_, x) in enumerate(test_elements):
+            jumps[e, 0, level] = modulus_of_continuity(
+                evaluate(plus, x), grid).max_jump
+            jumps[e, 1, level] = modulus_of_continuity(
+                evaluate(minus, x), grid).max_jump
 
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = jumps[:, :, :-1] / jumps[:, :, 1:]

@@ -37,10 +37,17 @@ def _expect(obj, required, optional=(), path="instance"):
 
 
 def _floats(x, path):
+    """``x`` as a float array; raises naming the path of a non-finite entry."""
     try:
-        return np.asarray(x, dtype=float)
+        arr = np.asarray(x, dtype=float)
     except (TypeError, ValueError):
         raise InputError(f"{path}: expected numeric data")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        bad = tuple(np.argwhere(~finite)[0])
+        index = "".join(f"[{k}]" for k in bad)
+        raise InputError(f"{path}{index}: non-finite value {arr[bad]}")
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +90,7 @@ def encode_complex_matrix(m) -> list:
 
 
 def decode_complex_matrix(obj, path="matrix") -> np.ndarray:
-    arr = np.asarray(obj, dtype=float)
+    arr = _floats(obj, path)
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise InputError(f"{path}: expected entries as [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
@@ -153,7 +160,7 @@ def decode_norm(obj, path="norm") -> BaseNorm:
 
 def _field_or_scalar(x, path):
     if isinstance(x, (int, float)):
-        return float(x)
+        return float(_floats(x, path))
     return _floats(x, path)
 
 

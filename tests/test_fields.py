@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from tracefield.algebra import (AlgebraDescriptor, AlgebraError, Element,
-                                FunctionalRep, op_norm, random_selfadjoint)
+                                FunctionalRep, op_norm, random_functional,
+                                random_selfadjoint)
 from tracefield.fields import (MapField, compress, compress_norm_field,
                                constant_map_field, diagonal_map_field,
                                evaluate, is_absolutely_continuous,
                                map_field_from_nodes, pointwise_norm,
                                refine_map_field)
-from tracefield.grids import path_grid, refine
+from tracefield.grids import circle_grid, path_grid, refine
 from tracefield.jordan import decompose_map
 
 from oracles import commutative_functional_norm
@@ -184,6 +185,20 @@ class TestRefineTransfer:
         assert np.allclose(out.stacks[0][5],
                            0.5 * (phi.stacks[0][0] + phi.stacks[0][1]),
                            atol=1e-14)
+
+    @pytest.mark.parametrize("grid", [path_grid(9), circle_grid(8)],
+                             ids=["path", "circle"])
+    def test_sparse_transfer_equals_dense_einsum(self, grid):
+        algebra = AlgebraDescriptor((1, 2, 3))
+        phi = map_field_from_nodes(
+            grid, [random_functional(algebra, 100 + t) for t in range(grid.n)])
+        fine, prolong = refine(grid)
+        out = refine_map_field(phi, fine, prolong)
+        dense = prolong.toarray()
+        ref = MapField(fine, phi.algebra, [np.einsum("mn,nij->mij", dense, s)
+                                           for s in phi.stacks])
+        for o, r in zip(out.stacks, ref.stacks):
+            assert np.array_equal(o, r)
 
 
 class TestDiagonalField:

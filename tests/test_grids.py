@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from tracefield.grids import (Grid, GridError, cb_membership, circle_grid,
                               epsilon_semicontinuity_report,
@@ -15,6 +16,15 @@ class TestGridConstruction:
     def test_nonpositive_length_rejected(self):
         with pytest.raises(GridError):
             Grid("path", 2, [(0, 1)], [0.0])
+
+    def test_non_finite_length_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(GridError):
+                Grid("path", 3, [(0, 1), (1, 2)], [1.0, bad])
+
+    def test_self_loop_rejected(self):
+        with pytest.raises(GridError, match="self-loop"):
+            Grid("graph", 2, [(0, 1), (1, 1)], [1.0, 1.0])
 
     def test_infinity_nodes_kept_sorted(self):
         g = path_grid(5, infinity=(4, 0))
@@ -136,6 +146,60 @@ class TestRefine:
         coarse = modulus_of_continuity(f, g).max_jump
         refined = modulus_of_continuity(prolong @ f, fine).max_jump
         assert refined == pytest.approx(coarse / 2, abs=1e-14)
+
+
+def _refine_loop(grid):
+    """Per-edge loop construction of the refined grid and a dense
+    prolongation: the reference for the vectorised ``refine``."""
+    n, m = grid.n, grid.edges.shape[0]
+    edges, lengths = [], []
+    prolong = np.zeros((n + m, n))
+    prolong[:n] = np.eye(n)
+    positions = np.concatenate([grid.positions, np.zeros(m)])
+    for e, ((i, j), w) in enumerate(zip(grid.edges, grid.lengths)):
+        mid = n + e
+        edges += [(i, mid), (mid, j)]
+        lengths += [w / 2, w / 2]
+        prolong[mid, i] = prolong[mid, j] = 0.5
+        positions[mid] = grid.positions[i] + w / 2
+    return np.array(edges), np.array(lengths), positions, prolong
+
+
+REFINE_GRIDS = {
+    "path": lambda: path_grid(7),
+    "circle": lambda: circle_grid(6),
+    "graph": lambda: Grid("graph", 5, [(3, 0), (0, 1), (1, 2), (2, 3), (4, 1)],
+                          [0.5, 1.0, 0.25, 2.0, 1.5],
+                          positions=[0.0, 1.0, 1.25, 3.25, 2.5]),
+}
+
+
+class TestSparseRefine:
+    @pytest.mark.parametrize("kind", sorted(REFINE_GRIDS))
+    def test_matches_loop_reference(self, kind):
+        g = REFINE_GRIDS[kind]()
+        fine, prolong = refine(g)
+        edges, lengths, positions, dense = _refine_loop(g)
+        assert fine.kind == g.kind and fine.n == g.n + g.edges.shape[0]
+        assert np.array_equal(fine.edges, edges)
+        assert np.array_equal(fine.lengths, lengths)
+        assert np.array_equal(fine.positions, positions)
+        assert np.array_equal(prolong.toarray(), dense)
+
+    @pytest.mark.parametrize("kind", sorted(REFINE_GRIDS))
+    def test_prolongation_is_csr_with_two_halves_per_midpoint(self, kind):
+        g = REFINE_GRIDS[kind]()
+        n, m = g.n, g.edges.shape[0]
+        _, prolong = refine(g)
+        assert sp.issparse(prolong) and prolong.format == "csr"
+        assert prolong.shape == (n + m, n) and prolong.nnz == n + 2 * m
+        assert np.array_equal(prolong[:n].toarray(), np.eye(n))
+        for e, (i, j) in enumerate(g.edges):
+            row = prolong.getrow(n + e)
+            assert sorted(row.indices) == sorted([i, j])
+            assert np.array_equal(row.data, [0.5, 0.5])
+        # constant fields stay constant
+        assert np.array_equal(prolong @ np.ones(n), np.ones(n + m))
 
 
 class TestConeMembership:

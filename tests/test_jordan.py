@@ -6,13 +6,15 @@ from tracefield.algebra import (AlgebraDescriptor, AlgebraError, Element,
                                 random_contraction)
 from tracefield.fields import (MapField, compress_norm_field,
                                constant_map_field, diagonal_map_field,
-                               evaluate, map_field_from_nodes)
+                               evaluate, map_field_from_nodes,
+                               refine_map_field)
 from tracefield.generate import (crossing_map_field, random_map_field,
                                  smooth_map_field)
-from tracefield.grids import path_grid
+from tracefield.grids import path_grid, refine
 from tracefield.jordan import (continuity_report, decompose_map,
-                               delta_continuity_report, locality_check,
-                               separator, verify_norm_additivity)
+                               default_test_elements, delta_continuity_report,
+                               locality_check, separator,
+                               verify_norm_additivity)
 
 M2 = AlgebraDescriptor((2,))
 
@@ -182,6 +184,24 @@ class TestContinuityReport:
                                    refinements=3)
         assert report.passes
         assert report.min_ratio >= 1.5
+
+    def test_jumps_match_full_decomposition_per_level(self):
+        g = path_grid(30)
+        phi = smooth_map_field([1, 2, 3], g, 5)
+        report = continuity_report(decompose_map(phi), refinements=3)
+        ref = np.zeros_like(report.jumps)
+        grid, field = g, phi
+        for level in range(4):
+            if level:
+                grid, prolong = refine(grid)
+                field = refine_map_field(field, grid, prolong)
+            dec = decompose_map(field)
+            for e, (_, x) in enumerate(default_test_elements(phi.algebra)):
+                for k, part in enumerate((dec.plus, dec.minus)):
+                    vals = evaluate(part, x)
+                    ref[e, k, level] = np.max(np.abs(
+                        vals[grid.edges[:, 0]] - vals[grid.edges[:, 1]]))
+        assert np.array_equal(report.jumps, ref)
 
 
 class TestDeltaContinuity:

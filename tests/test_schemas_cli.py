@@ -92,6 +92,14 @@ class TestStrictValidation:
         with pytest.raises(InputError):
             decode_gauge({"kind": "mystery"}, 3)
 
+    def test_non_finite_vector_names_path(self):
+        problem = extension_instance(0, n_nodes=6, dim=3, dim_y=1,
+                                     delta=0.1, margin=0.5)
+        payload = encode_extension_problem(problem)
+        payload["phi"][2][0] = float("inf")
+        with pytest.raises(InputError, match=r"extend\.phi\[2\]\[0\]"):
+            decode_extension_problem(payload)
+
     def test_version_checked(self):
         with pytest.raises(InputError):
             decode_instance({"version": 99, "kind": "decompose",
@@ -161,6 +169,16 @@ class TestCLI:
         assert main(["decompose", str(path), "--out",
                      str(tmp_path / "o")]) == 1
         assert "input error" in capsys.readouterr().err
+
+    def test_non_finite_entry_rejected_at_decode(self, tmp_path, capsys):
+        phi = crossing_map_field(path_grid(6))
+        inst = encode_instance("decompose", {"map": encode_map_field(phi)})
+        inst["decompose"]["map"]["rho"][3][0][1][0][0] = float("nan")
+        path = write_instance(tmp_path, "nan.json", inst)
+        out = tmp_path / "o"
+        assert main(["decompose", path, "--out", str(out)]) == 1
+        assert "map.rho[3][0]" in capsys.readouterr().err
+        assert not (out / "norms.csv").exists()
 
     def test_unknown_payload_field_exits_1(self, tmp_path):
         g = path_grid(4)
