@@ -100,7 +100,8 @@ def _cmd_decompose(args, tols):
               ("node", "norm", "norm_plus", "norm_minus"), rows)
 
     if refinements > 0:
-        cont = continuity_report(result, refinements=refinements)
+        cont = continuity_report(result, refinements=refinements,
+                                 tols=tols)
         report["results"]["continuity"] = {
             "min_shrink_ratio": cont.min_ratio,
             "passes": cont.passes,

@@ -53,7 +53,7 @@ class ExtensionProblem:
                              f"{(self.grid.n, k_y)}")
         if self.gauge.n_nodes != self.grid.n or self.gauge.dim != self.model.dim:
             raise InputError("gauge shape disagrees with grid/model")
-        if self.delta < 0:
+        if not self.delta >= 0:
             raise InputError("delta must be nonnegative")
         if self.validate and k_y:
             self._check_domination()

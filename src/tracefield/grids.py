@@ -70,6 +70,15 @@ class Grid:
             np.asarray(positions, dtype=float).reshape(n)
         self._neighbors = None
         self._adj = self._adjacency()
+        if self._adj.nnz < 2 * edges.shape[0]:
+            # csr_matrix summed the lengths of parallel edges into one entry
+            _, first, which = np.unique(np.sort(edges, axis=1), axis=0,
+                                        return_index=True,
+                                        return_inverse=True)
+            first = first[which.reshape(-1)]  # first edge with the same ends
+            j = np.flatnonzero(first != np.arange(edges.shape[0]))[0]
+            raise GridError(f"edges {first[j]} and {j} both join nodes "
+                            f"{edges[j, 0]} and {edges[j, 1]}")
         if connected_components(self._adj, directed=False,
                                 return_labels=False) != 1:
             raise GridError("grid is not connected")

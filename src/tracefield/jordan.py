@@ -117,11 +117,13 @@ class ContinuityReport:
 
 def continuity_report(result: DecompositionResult, test_elements=None,
                       refinements: int = 3, min_factor: float = 1.5,
-                      negligible: float = 1e-13) -> ContinuityReport:
+                      negligible: float = 1e-13,
+                      tols: Tolerances = DEFAULT_TOLS) -> ContinuityReport:
     """Track edge jumps of the two parts under grid refinement.
 
     The input field is transferred to each refined grid by linear
-    interpolation of the representing matrices and re-split there; for every
+    interpolation of the representing matrices and re-split there with
+    ``tols`` (pass the tolerances of the level-0 split); for every
     test element the raw maximal edge jump of the evaluated parts must
     shrink by ``min_factor`` per level.  Levels whose jumps are negligible
     count as converged.
@@ -138,7 +140,7 @@ def continuity_report(result: DecompositionResult, test_elements=None,
         if level:
             grid, prolong = refine(grid)
             phi = refine_map_field(phi, grid, prolong)
-            plus, minus = split_map(phi)
+            plus, minus = split_map(phi, tols)
         for e, (_, x) in enumerate(test_elements):
             jumps[e, 0, level] = modulus_of_continuity(
                 evaluate(plus, x), grid).max_jump

@@ -16,7 +16,7 @@ from .extension import ExtensionProblem
 from .fields import MapField
 from .grids import Grid
 from .seminorms import (AugmentedGauge, BaseNorm, Gauge, InfConv,
-                        MaxAbsLinear, PiecewiseNodes, QuotientBar,
+                        MaxAbsLinear, PiecewiseNodes, Quotient, QuotientBar,
                         QuotientTilde, ScaledByField, ScaledNorm,
                         SubspaceDistance, SumGauge, VectorSpaceModel)
 
@@ -158,6 +158,14 @@ def decode_norm(obj, path="norm") -> BaseNorm:
         raise InputError(f"{path}: {exc}")
 
 
+def _scalar(x, path):
+    """``x`` as a finite float; raises naming the path otherwise."""
+    arr = _floats(x, path)
+    if arr.ndim != 0:
+        raise InputError(f"{path}: expected a number")
+    return float(arr)
+
+
 def _field_or_scalar(x, path):
     if isinstance(x, (int, float)):
         return float(_floats(x, path))
@@ -188,12 +196,9 @@ def encode_gauge(g: Gauge) -> dict:
                           "norm": encode_norm(dist.norm)})
         return {"kind": "quotient_aug", "base": encode_gauge(g.base),
                 "terms": terms}
-    if isinstance(g, QuotientBar):
-        return {"kind": "quotient_bar", "m": encode_gauge(g.core.m),
-                "subspace": g.core.w.tolist(), "delta": g.core.delta,
-                "norm": encode_norm(g.core.norm)}
-    if isinstance(g, QuotientTilde):
-        return {"kind": "quotient_tilde", "m": encode_gauge(g.core.m),
+    if isinstance(g, Quotient) and (g.mask.all() or not g.mask.any()):
+        return {"kind": "quotient_bar" if g.mask.all() else "quotient_tilde",
+                "m": encode_gauge(g.core.m),
                 "subspace": g.core.w.tolist(), "delta": g.core.delta,
                 "norm": encode_norm(g.core.norm)}
     if isinstance(g, InfConv):
@@ -220,7 +225,8 @@ def decode_gauge(obj, n_nodes: int, path="seminorm") -> Gauge:
         if kind == "max_abs_linear":
             _expect(obj, ("kind", "functionals"), ("scale",), path)
             return MaxAbsLinear(_floats(obj["functionals"], path), n_nodes,
-                                obj.get("scale", 1.0))
+                                _field_or_scalar(obj.get("scale", 1.0),
+                                                 f"{path}.scale"))
         if kind == "sum":
             _expect(obj, ("kind", "parts"), (), path)
             return SumGauge([decode_gauge(p, n_nodes, f"{path}.parts[{i}]")
@@ -237,7 +243,8 @@ def decode_gauge(obj, n_nodes: int, path="seminorm") -> Gauge:
             for i, term in enumerate(obj["terms"]):
                 _expect(term, ("delta", "subspace", "norm"), (),
                         f"{path}.terms[{i}]")
-                terms.append((float(term["delta"]), SubspaceDistance(
+                delta = _scalar(term["delta"], f"{path}.terms[{i}].delta")
+                terms.append((delta, SubspaceDistance(
                     _floats(term["subspace"], path),
                     decode_norm(term["norm"], f"{path}.terms[{i}].norm"))))
             return AugmentedGauge(base, terms)
@@ -245,7 +252,8 @@ def decode_gauge(obj, n_nodes: int, path="seminorm") -> Gauge:
             _expect(obj, ("kind", "m", "subspace", "delta", "norm"), (), path)
             cls = QuotientBar if kind == "quotient_bar" else QuotientTilde
             return cls(decode_gauge(obj["m"], n_nodes, f"{path}.m"),
-                       _floats(obj["subspace"], path), float(obj["delta"]),
+                       _floats(obj["subspace"], path),
+                       _scalar(obj["delta"], f"{path}.delta"),
                        decode_norm(obj["norm"], f"{path}.norm"))
         if kind == "inf_conv":
             _expect(obj, ("kind", "m1", "m2", "subspace"), (), path)
@@ -311,7 +319,7 @@ def decode_extension_problem(obj, path="extend"):
     try:
         problem = ExtensionProblem(grid, model, gauge,
                                    _floats(obj["phi"], f"{path}.phi"),
-                                   float(obj["delta"]))
+                                   _scalar(obj["delta"], f"{path}.delta"))
     except ValueError as exc:
         raise InputError(f"{path}: {exc}")
     return problem, obj.get("order")

@@ -5,7 +5,8 @@ function on R^n with nonnegative values.  Closed-form kinds (scaled p-norms,
 maxima of absolute linear functionals, quotient-distance augmentations) are
 evaluated exactly; quotient and inf-convolution kinds carry an inner
 minimization that is solved by convex descent over deterministic candidate
-sets, optionally cross-checked against a dense scan.
+sets, optionally cross-checked against a dense scan.  One evaluation solves
+every (vector, node) problem it holds as one batch.
 
 The reported value of an inner minimization is always an upper bound of the
 true infimum (it is the minimum over evaluated feasible points), and paired
@@ -394,18 +395,96 @@ class PiecewiseNodes(Gauge):
             .nilspace_basis(t, tol)
 
 
-class _QuotientCore:
-    """Shared inner-minimization machinery of the two quotient kinds.
+_BLOCK = 1 << 14   # (point, problem) pairs per gauge call of a blocked loop
 
-    Candidate sets are deterministic functions of the input vector, and both
-    quotient objectives are minimized over one shared set (lattice scan over
-    the subspace coordinates plus a pattern-search polish per objective), so
-    the reported bar values never exceed the reported tilde values.
+
+def _lattice(radius, pts, k, rows=slice(None)):
+    """Rows ``rows`` of the ``pts**k`` coordinate lattice on [-r, r]^k.
+
+    ``radius`` is a scalar or an array of per-problem radii of shape S; the
+    result has shape (rows,) + S + (k,).  Axis value i is -r + i (2r / (pts
+    - 1)) and the last one is r, as ``np.linspace(-r, r, pts)`` computes
+    them; rows run in ``meshgrid(..., indexing="ij")`` order.  Only the
+    requested rows are computed.
+    """
+    idx = np.indices((pts,) * k).reshape(k, -1).T[rows]
+    r = np.asarray(radius, dtype=float)[..., None, None]
+    vals = np.where(idx == pts - 1, r, idx * (2.0 * r / (pts - 1)) - r)
+    return np.moveaxis(vals, -2, 0)
+
+
+def _scan(fun, radius, pts, k):
+    """Per-problem lattice point of least value, ties to the earliest row.
+
+    ``fun`` maps (B, N, k) coordinates to (B, N) values of the N problems
+    whose radii are ``radius`` (N,).  The lattice is evaluated in blocks of
+    B rows, B N <= ``_BLOCK``, so memory stays bounded in the batch.
+    """
+    n = radius.shape[0]
+    best_v = np.full(n, np.inf)
+    best_c = np.zeros((n, k))
+    block = max(1, _BLOCK // max(n, 1))
+    for start in range(0, pts ** k, block):
+        C = _lattice(radius, pts, k, slice(start, start + block))
+        vals = fun(C)
+        idx = np.argmin(vals, axis=0)
+        v = vals[idx, np.arange(n)]
+        better = v < best_v
+        best_v[better] = v[better]
+        best_c[better] = C[idx[better], better]
+    return best_c
+
+
+def _pick(vals, cands):
+    """Least value over the leading candidate axis, and its candidate."""
+    i = np.argmin(vals, axis=0)[None]
+    return (np.take_along_axis(vals, i, 0)[0],
+            np.take_along_axis(cands, i[..., None], 0)[0])
+
+
+def _with_extra(cands, extra, shape):
+    for w in extra or ():
+        cands.append(np.broadcast_to(np.asarray(w, dtype=float), shape))
+    return np.stack(cands)
+
+
+class _BatchSolved(Gauge):
+    """Inf-type gauge: ``_solve(Z, extra)`` takes a batch Z (P, n, dim), in
+    which problem (p, t) is the vector ``Z[p, t]`` at node t, and returns
+    values (P, n) and inner minimizers (P, n, dim)."""
+
+    has_subgrad = False
+
+    def values(self, Z):
+        Z = self._check_shape(Z)
+        vals, _ = self._solve(Z.reshape(-1, self.n_nodes, self.dim))
+        return vals.reshape(Z.shape[:-1])
+
+    def value_nodes(self, z, extra=None):
+        z = np.asarray(z, dtype=float)
+        vals, wit = self._solve(
+            np.broadcast_to(z, (1, self.n_nodes, self.dim)), extra)
+        return vals[0], wit[0]
+
+
+class _QuotientCore:
+    """Shared inner minimization of the two quotient constructions.
+
+    A batch ``Z`` of shape (P, n_nodes, dim) holds one problem per (p, t):
+    the vector ``Z[p, t]`` at node t.  Over w in span(W) both integrands,
+
+        bar:    m(z + w)(t) + delta ||z + w||
+        tilde:  m(w)(t) + delta ||z + w||      (m(z)(t) is added after),
+
+    are minimized by a lattice scan of the subspace coordinates and one
+    pattern-search polish over all 2 P n problems; each is then minimized
+    over one shared candidate set, so the reported bar values never exceed
+    the reported tilde values.
     """
 
     def __init__(self, m: Gauge, w_rows, delta: float, norm: BaseNorm,
                  oracle: bool = False):
-        if delta <= 0:
+        if not delta > 0:
             raise SeminormError("quotient construction needs delta > 0")
         self.m = m
         self.delta = float(delta)
@@ -414,163 +493,107 @@ class _QuotientCore:
             if np.size(w_rows) else np.zeros((0, m.dim))
         self.wq = orthonormal_rows(self.w)
         self.oracle = oracle
-        self._cache = {}
 
-    def _objectives(self, z, W):
-        """Values of bar/tilde integrands at candidates W: (..., n_nodes)."""
-        ZW = z + W
-        norm_zw = self.norm.value(ZW)
-        g_bar = self.m.values(ZW) + self.delta * norm_zw
-        g_tilde = self.m.values(W) + self.delta * norm_zw  # caller adds m(z)
-        return g_bar, g_tilde
+    def _objective(self, Z, W, tilde):
+        """Bar (or tilde) integrand at candidates W of shape (..., P, n, dim)."""
+        ZW = Z + W
+        return self.m.values(W if tilde else ZW) \
+            + self.delta * self.norm.value(ZW)
 
-    def _lattice(self, k, radius):
-        pts = 81 if k == 1 else (25 if k == 2 else 0)
-        if self.oracle:
-            pts = 201 if k == 1 else (41 if k == 2 else 0)
-        if pts == 0:
-            return np.zeros((1, k))
-        axes = [np.linspace(-radius, radius, pts)] * k
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in mesh], axis=-1)
+    def _radius(self, Z):
+        """Search radius of every problem, flattened to (P n,).  It reads
+        m(z) at every node, for a block of vectors z at a time."""
+        n, dim = Z.shape[1:]
+        flat = Z.reshape(-1, dim)
+        norm_z = self.norm.value(flat)
+        m_max = np.empty(flat.shape[0])
+        block = max(1, _BLOCK // max(n, 1))
+        for i in range(0, flat.shape[0], block):
+            zs = flat[i:i + block]
+            m_max[i:i + block] = self.m.values(np.broadcast_to(
+                zs[:, None, :], (zs.shape[0], n, dim))).max(axis=-1)
+        return norm_z + (m_max + self.delta * norm_z) / self.delta + 1.0
 
-    def pair_values(self, z, extra=None):
-        z = np.asarray(z, dtype=float)
-        key = z.tobytes() if extra is None else None
-        if key is not None and key in self._cache:
-            return self._cache[key]
+    def pair_values(self, Z, extra=None):
+        """``(v_bar, v_tilde, w_bar, w_tilde)`` of a batch Z (P, n, dim).
+
+        Values have shape (P, n) and witnesses (P, n, dim); ``extra`` lists
+        candidates broadcast to Z's shape that join the shared set.
+        """
+        P, n, dim = Z.shape
         k = self.wq.shape[0]
-        n_nodes, dim = self.m.n_nodes, self.m.dim
-        cands = [np.zeros((n_nodes, dim))]
+        cands = [np.zeros(Z.shape)]
         if k:
-            proj = (z @ self.wq.T) @ self.wq
-            cands.append(np.broadcast_to(-proj, (n_nodes, dim)).copy())
-            z_b = np.broadcast_to(z, (n_nodes, dim))
-            radius = float(self.norm.value(z)) + \
-                (float(self.m.values(z_b).max())
-                 + self.delta * float(self.norm.value(z))) / self.delta + 1.0
+            cands.append(-((Z @ self.wq.T) @ self.wq))
+            radius = np.tile(self._radius(Z), 2)
 
-            def lift(C):
-                return C @ self.wq
+            def fun(C):
+                W = C.reshape(C.shape[:-2] + (2, P, n, k)) @ self.wq
+                return np.stack([self._objective(Z, W[..., 0, :, :, :], False),
+                                 self._objective(Z, W[..., 1, :, :, :], True)],
+                                axis=-3).reshape(C.shape[:-1])
 
-            lat = self._lattice(k, radius)
-            lat_b = np.broadcast_to(lat[:, None, :],
-                                    (lat.shape[0], n_nodes, k))
-            g_bar_lat, g_tilde_lat = self._objectives(z, lift(lat_b))
-            nodes = np.arange(n_nodes)
-            start_bar = lat[np.argmin(g_bar_lat, axis=0)]
-            start_tilde = lat[np.argmin(g_tilde_lat, axis=0)]
-
-            for which, start in (("bar", start_bar), ("tilde", start_tilde)):
-                def fun(C, _w=which):
-                    gb, gt = self._objectives(z, lift(C))
-                    return gb if _w == "bar" else gt
-
-                y, _ = minimize_batched(fun, None, k, n_nodes, radius,
-                                        n_iter=0, polish_rounds=120, y0=start)
-                cands.append(lift(y))
-        if extra:
-            for w in extra:
-                w = np.asarray(w, dtype=float)
-                if w.ndim == 1:
-                    w = np.broadcast_to(w, (n_nodes, dim)).copy()
-                cands.append(w)
-        W = np.stack(cands)
-        g_bar, g_tilde = self._objectives(z, W)
-        i_bar = np.argmin(g_bar, axis=0)
-        i_tilde = np.argmin(g_tilde, axis=0)
-        nodes = np.arange(n_nodes)
-        m_z = self.m.values(np.broadcast_to(z, (n_nodes, dim)))
-        out = (g_bar[i_bar, nodes], m_z + g_tilde[i_tilde, nodes],
-               W[i_bar, nodes], W[i_tilde, nodes])
-        if key is not None:
-            if len(self._cache) > 4096:
-                self._cache.clear()
-            self._cache[key] = out
-        return out
+            pts = ({1: 201, 2: 41} if self.oracle else {1: 81, 2: 25}).get(k)
+            start = _scan(fun, radius, pts, k) if pts else None
+            y, _ = minimize_batched(fun, None, k, 2 * P * n, radius,
+                                    n_iter=0, polish_rounds=120, y0=start)
+            cands.extend(y.reshape(2, P, n, k) @ self.wq)
+        W = _with_extra(cands, extra, Z.shape)
+        v_bar, w_bar = _pick(self._objective(Z, W, False), W)
+        v_tilde, w_tilde = _pick(self._objective(Z, W, True), W)
+        return v_bar, self.m.values(Z) + v_tilde, w_bar, w_tilde
 
 
-def _grid_scan_candidates(fun, k, n_nodes, radius, points=41):
-    """Dense scan over a coordinate box; returns per-node best coordinates."""
-    axes = [np.linspace(-radius, radius, points)] * k
-    mesh = np.meshgrid(*axes, indexing="ij")
-    C = np.stack([g.ravel() for g in mesh], axis=-1)      # (P, k)
-    C_batch = np.broadcast_to(C[:, None, :], (C.shape[0], n_nodes, k))
-    vals = fun(C_batch)                                   # (P, n_nodes)
-    best = np.argmin(vals, axis=0)
-    return C[best]
+class Quotient(_BatchSolved):
+    """The bar construction on the nodes of ``mask``, tilde elsewhere:
 
+        bar:    inf over w in span(W) of  m(z + w)(t) + delta ||z + w||
+        tilde:  m(z)(t) + inf over w in span(W) of  m(w)(t) + delta ||z + w||
 
-class QuotientBar(Gauge):
-    """inf over w in span(W) of  m(z + w)(t) + delta ||z + w||."""
+    Gauges built on one core share its candidate sets.
+    """
 
-    has_subgrad = False
+    def __init__(self, core: _QuotientCore, mask):
+        self.core = core
+        self.dim = core.m.dim
+        self.n_nodes = core.m.n_nodes
+        self.mask = np.broadcast_to(np.asarray(mask, dtype=bool),
+                                    (self.n_nodes,))
 
-    def __init__(self, m, w_rows, delta, norm, oracle=False):
-        self.core = _QuotientCore(m, w_rows, delta, norm, oracle)
-        self.dim = m.dim
-        self.n_nodes = m.n_nodes
-
-    def values(self, Z):
-        Z = self._check_shape(Z)
-        flat = Z.reshape(-1, self.n_nodes, self.dim)
-        out = np.zeros(flat.shape[:2])
-        for i in range(flat.shape[0]):
-            for t in range(self.n_nodes):
-                v, _, _, _ = self.core.pair_values(flat[i, t])
-                out[i, t] = v[t]
-        return out.reshape(Z.shape[:-1])
-
-    def value_nodes(self, z, extra=None):
-        v, _, wit, _ = self.core.pair_values(z, extra)
-        return v, wit
+    def _solve(self, Z, extra=None):
+        v_bar, v_tilde, w_bar, w_tilde = self.core.pair_values(Z, extra)
+        return (np.where(self.mask, v_bar, v_tilde),
+                np.where(self.mask[:, None], w_bar, w_tilde))
 
     def nilspace_basis(self, t, tol=1e-10):
-        return orthonormal_rows(self.core.w) if self.core.w.size \
-            else np.zeros((0, self.dim))
-
-
-class QuotientTilde(Gauge):
-    """m(z)(t) + inf over w in span(W) of  m(w)(t) + delta ||z + w||."""
-
-    has_subgrad = False
-
-    def __init__(self, m, w_rows, delta, norm, oracle=False):
-        self.core = _QuotientCore(m, w_rows, delta, norm, oracle)
-        self.dim = m.dim
-        self.n_nodes = m.n_nodes
-
-    def values(self, Z):
-        Z = self._check_shape(Z)
-        flat = Z.reshape(-1, self.n_nodes, self.dim)
-        out = np.zeros(flat.shape[:2])
-        for i in range(flat.shape[0]):
-            for t in range(self.n_nodes):
-                _, v, _, _ = self.core.pair_values(flat[i, t])
-                out[i, t] = v[t]
-        return out.reshape(Z.shape[:-1])
-
-    def value_nodes(self, z, extra=None):
-        _, v, _, wit = self.core.pair_values(z, extra)
-        return v, wit
-
-    def nilspace_basis(self, t, tol=1e-10):
+        if self.mask[t]:
+            return orthonormal_rows(self.core.w) if self.core.w.size \
+                else np.zeros((0, self.dim))
         return intersect_rowspaces(self.core.m.nilspace_basis(t, tol),
                                    self.core.w)
 
 
-class InfConv(Gauge):
+def QuotientBar(m, w_rows, delta, norm, oracle=False) -> Quotient:
+    """inf over w in span(W) of  m(z + w)(t) + delta ||z + w||."""
+    return Quotient(_QuotientCore(m, w_rows, delta, norm, oracle), True)
+
+
+def QuotientTilde(m, w_rows, delta, norm, oracle=False) -> Quotient:
+    """m(z)(t) + inf over w in span(W) of  m(w)(t) + delta ||z + w||."""
+    return Quotient(_QuotientCore(m, w_rows, delta, norm, oracle), False)
+
+
+class InfConv(_BatchSolved):
     """Nodewise inf-convolution over a subspace F:
 
         (m1 [] m2)(z)(t) = inf over y in F of  m1(y)(t) + m2(z - y)(t).
 
     The infimum is taken over a deterministic candidate set (origin, the
-    projection of z onto F, convex descent, and an optional dense scan), so
-    the reported value is an upper bound of the true infimum that is exact
-    on the candidates.
+    projection of z onto F and its half, one pattern-search polish batched
+    over every (vector, node) problem, and an optional dense scan), so the
+    reported value is an upper bound of the true infimum that is exact on
+    the candidates.
     """
-
-    has_subgrad = False
 
     def __init__(self, m1: Gauge, m2: Gauge, f_rows, oracle=False,
                  search_radius=None):
@@ -584,54 +607,30 @@ class InfConv(Gauge):
         self.oracle = oracle
         self.search_radius = search_radius
 
-    def _solve(self, z, extra=None):
-        n_nodes, dim = self.n_nodes, self.dim
-        z = np.asarray(z, dtype=float)
+    def _solve(self, Z, extra=None):
+        P, n, dim = Z.shape
         k = self.fq.shape[0]
-        cands = [np.zeros((n_nodes, dim))]
+        cands = [np.zeros(Z.shape)]
         if k:
-            proj = (z @ self.fq.T) @ self.fq
-            cands.append(np.broadcast_to(proj, (n_nodes, dim)).copy())
-            cands.append(np.broadcast_to(0.5 * proj, (n_nodes, dim)).copy())
-            radius = self.search_radius or 4.0 * (1.0 + np.linalg.norm(z))
-
-            def lift(C):
-                return C @ self.fq
+            proj = (Z @ self.fq.T) @ self.fq
+            cands += [proj, 0.5 * proj]
+            radius = np.full(P * n, float(self.search_radius)) \
+                if self.search_radius \
+                else 4.0 * (1.0 + np.linalg.norm(Z, axis=-1).reshape(-1))
 
             def fun(C):
-                Y = lift(C)
-                return self.m1.values(Y) + self.m2.values(z - Y)
+                Y = C.reshape(C.shape[:-2] + (P, n, k)) @ self.fq
+                return (self.m1.values(Y) + self.m2.values(Z - Y)) \
+                    .reshape(C.shape[:-1])
 
-            y, _ = minimize_batched(fun, None, k, n_nodes, radius,
+            y, _ = minimize_batched(fun, None, k, P * n, radius,
                                     n_iter=0, polish_rounds=220)
-            cands.append(lift(y))
+            cands.append(y.reshape(P, n, k) @ self.fq)
             if self.oracle and k <= 2:
-                cands.append(lift(_grid_scan_candidates(fun, k, n_nodes,
-                                                        radius)))
-        if extra:
-            for w in extra:
-                w = np.asarray(w, dtype=float)
-                if w.ndim == 1:
-                    w = np.broadcast_to(w, (n_nodes, dim)).copy()
-                cands.append(w)
-        Y = np.stack(cands)
-        vals = self.m1.values(Y) + self.m2.values(z - Y)
-        idx = np.argmin(vals, axis=0)
-        nodes = np.arange(n_nodes)
-        return vals[idx, nodes], Y[idx, nodes]
-
-    def values(self, Z):
-        Z = self._check_shape(Z)
-        flat = Z.reshape(-1, self.n_nodes, self.dim)
-        out = np.zeros(flat.shape[:2])
-        for i in range(flat.shape[0]):
-            for t in range(self.n_nodes):
-                v, _ = self._solve(flat[i, t])
-                out[i, t] = v[t]
-        return out.reshape(Z.shape[:-1])
-
-    def value_nodes(self, z, extra=None):
-        return self._solve(z, extra)
+                cands.append(_scan(fun, radius, 41, k).reshape(P, n, k)
+                             @ self.fq)
+        Y = _with_extra(cands, extra, Z.shape)
+        return _pick(self.m1.values(Y) + self.m2.values(Z - Y), Y)
 
     def nilspace_basis(self, t, tol=1e-10):
         n1 = intersect_rowspaces(self.m1.nilspace_basis(t, tol), self.f)
@@ -724,7 +723,7 @@ def build_m_delta(m: Gauge, model: VectorSpaceModel, delta: float,
     for p = 2, a linear program for p = 1 and p = inf.  With
     ``auto_nilspace`` the per-node nilspace is read off the gauge itself.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise SeminormError("build_m_delta needs delta > 0")
     if auto_nilspace:
         dists = [SubspaceDistance(
@@ -748,10 +747,8 @@ def quotient_seminorms(m: Gauge, model: VectorSpaceModel, delta: float,
     """
     if model.per_node_nilspace():
         raise SeminormError("quotient constructions need a shared nilspace")
-    w = model.quotient_rows(0)
-    bar = QuotientBar(m, w, delta, model.norm, oracle)
-    tilde = QuotientTilde(m, w, delta, model.norm, oracle)
-    return bar, tilde
+    core = _QuotientCore(m, model.quotient_rows(0), delta, model.norm, oracle)
+    return Quotient(core, True), Quotient(core, False)
 
 
 def inf_convolve(m1: Gauge, m2: Gauge, f_rows, oracle: bool = False) -> InfConv:
@@ -827,40 +824,6 @@ def check_locally_finite(m: Gauge, model: VectorSpaceModel, grid, t0: int,
 # ---------------------------------------------------------------------------
 # the inductive balanced chain
 
-class _QuotientPiecewise(Gauge):
-    """bar on a designated node set, tilde elsewhere, one shared core."""
-
-    has_subgrad = False
-
-    def __init__(self, core: _QuotientCore, mask):
-        self.core = core
-        self.dim = core.m.dim
-        self.n_nodes = core.m.n_nodes
-        self.mask = np.asarray(mask, dtype=bool).reshape(self.n_nodes)
-
-    def value_nodes(self, z, extra=None):
-        v_bar, v_tilde, w_bar, w_tilde = self.core.pair_values(z, extra)
-        return (np.where(self.mask, v_bar, v_tilde),
-                np.where(self.mask[:, None], w_bar, w_tilde))
-
-    def values(self, Z):
-        Z = self._check_shape(Z)
-        flat = Z.reshape(-1, self.n_nodes, self.dim)
-        out = np.zeros(flat.shape[:2])
-        for i in range(flat.shape[0]):
-            for t in range(self.n_nodes):
-                v, _ = self.value_nodes(flat[i, t])
-                out[i, t] = v[t]
-        return out.reshape(Z.shape[:-1])
-
-    def nilspace_basis(self, t, tol=1e-10):
-        if self.mask[t]:
-            return orthonormal_rows(self.core.w) if self.core.w.size \
-                else np.zeros((0, self.dim))
-        return intersect_rowspaces(self.core.m.nilspace_basis(t, tol),
-                                   self.core.w)
-
-
 @dataclass(frozen=True)
 class BalancedChainResult:
     stage_gauges: list          # piecewise bar/tilde gauge per stage
@@ -884,54 +847,48 @@ def balanced_chain(m: Gauge, model: VectorSpaceModel, delta: float,
     domination of any linear map dominated by the bar construction is
     preserved exactly.
 
-    ``points`` are the vectors at which all stages are evaluated.
+    ``points`` are the vectors at which all stages are evaluated.  Every
+    vector any stage needs is known in advance, so all of them go through
+    one batched solve of the shared quotient core.
     """
     if len(u_masks) != len(f_bases):
         raise SeminormError("need one node set per chain stage")
     if model.per_node_nilspace():
         raise SeminormError("balanced chain needs a shared nilspace")
     core = _QuotientCore(m, model.quotient_rows(0), delta, model.norm, oracle)
-    tilde = QuotientTilde(m, model.quotient_rows(0), delta, model.norm, oracle)
+    stages = [Quotient(core, mask) for mask in u_masks]
     points = np.atleast_2d(np.asarray(points, dtype=float))
-
-    stages = [_QuotientPiecewise(core, mask) for mask in u_masks]
+    n_pts, n_stages = points.shape[0], len(f_bases)
 
     def lattice(rows):
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
         if rows.size == 0 or rows.shape[0] == 0:
             return np.zeros((1, m.dim))
         q = orthonormal_rows(rows)
-        axes = [np.linspace(-lattice_radius, lattice_radius, lattice_points)] \
-            * q.shape[0]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        coords = np.stack([g.ravel() for g in mesh], axis=-1)
-        pts = coords @ q
+        pts = _lattice(lattice_radius, lattice_points, q.shape[0]) @ q
         if not np.any(np.all(pts == 0.0, axis=1)):
             pts = np.vstack([np.zeros(m.dim), pts])
         return pts
 
-    tilde_vals = np.stack([tilde.value_nodes(p)[0] for p in points])
+    # stage s is wanted at the points and, to tabulate it for stage s + 1,
+    # at lattice s; stage s > 0 evaluates its piecewise gauge at every shift
+    # of those vectors by a point of lattice s - 1
+    lattices = [lattice(f) for f in f_bases[:-1]]
+    queries = [np.vstack([points, lat]) for lat in lattices] + [points]
+    args = [queries[0]] + [(queries[s][:, None, :] - lattices[s - 1])
+                           .reshape(-1, m.dim) for s in range(1, n_stages)]
+    X = np.concatenate(args)
+    v_bar, v_tilde, _, _ = core.pair_values(
+        np.broadcast_to(X[:, None, :], (X.shape[0], m.n_nodes, m.dim)))
+    splits = np.cumsum([a.shape[0] for a in args])[:-1]
+    vals = [np.where(g.mask, b, t) for g, b, t in
+            zip(stages, np.split(v_bar, splits), np.split(v_tilde, splits))]
 
-    def eval_gauge_at(g, xs):
-        return np.stack([g.value_nodes(x)[0] for x in xs])
-
-    stage_values = []
-    current_pts = lattice(f_bases[0])
-    current_tab = eval_gauge_at(stages[0], current_pts)   # (L, n_nodes)
-    stage_values.append(eval_gauge_at(stages[0], points))
-
-    for n in range(1, len(f_bases)):
-        nxt = stages[n]
-
-        def conv_value(x):
-            vals = eval_gauge_at(nxt, x - current_pts)     # (L, n_nodes)
-            return np.min(current_tab + vals, axis=0)
-
-        stage_values.append(np.stack([conv_value(p) for p in points]))
-        if n + 1 < len(f_bases):
-            new_pts = lattice(f_bases[n])
-            new_tab = np.stack([conv_value(p) for p in new_pts])
-            current_pts, current_tab = new_pts, new_tab
-
-    return BalancedChainResult(stages, np.stack(stage_values), tilde_vals,
-                               points)
+    tab = vals[0]
+    stage_values = [tab[:n_pts]]
+    for s in range(1, n_stages):
+        shifted = vals[s].reshape(queries[s].shape[0], -1, m.n_nodes)
+        tab = np.min(tab[n_pts:] + shifted, axis=1)
+        stage_values.append(tab[:n_pts])
+    return BalancedChainResult(stages, np.stack(stage_values),
+                               v_tilde[:n_pts], points)

@@ -94,6 +94,7 @@ def _directions(dim):
 
 
 def _multistarts(dim, radius, hint, n_starts):
+    """Start points; ``radius`` broadcasts against (n_nodes, dim)."""
     starts = [np.zeros(dim)]
     if hint is not None:
         starts.append(np.asarray(hint, dtype=float))
@@ -101,8 +102,8 @@ def _multistarts(dim, radius, hint, n_starts):
     k = 0
     while len(starts) < n_starts and k < dim:
         e = np.zeros(dim)
-        e[k] = radius
-        starts += [e, -e]
+        e[k] = 1.0
+        starts += [radius * e, radius * -e]
         k += 1
     rng = np.random.default_rng(_MULTISTART_SEED)
     while len(starts) < n_starts:
@@ -124,19 +125,26 @@ def minimize_batched(fun, sub, dim, n_nodes, radius, ball_norm=None,
         subgradient phase (pattern search only).
     dim, n_nodes : int
         Problem dimensions.
-    radius : float
-        Ball radius in ``ball_norm`` (Euclidean when None); points are kept
-        feasible by radial rescaling.
+    radius : float or array of shape (n_nodes,)
+        Ball radius in ``ball_norm`` (Euclidean when None), shared or one
+        per node; points are kept feasible by radial rescaling.
     hint : array or None
         Extra start shared by all nodes.
     y0 : array or None
         Per-node warm start, shape (n_nodes, dim).
 
+    The "nodes" are independent problems: the pattern polish keeps one step
+    per node, halves it only when that node fails to improve and freezes the
+    node once the step is at most ``min_radius``, so a node's result does
+    not depend on the other problems of the batch.
+
     Returns ``(y, v)``: per-node argmin estimates and values.
     """
-    if dim == 0 or radius == 0.0:
+    radius = np.asarray(radius, dtype=float)
+    if dim == 0 or np.all(radius == 0.0):
         y = np.zeros((n_nodes, dim))
         return y, fun(y)
+    rad = radius[..., None]          # broadcasts against (..., n_nodes, dim)
 
     nrm = (lambda z: np.linalg.norm(z, axis=-1)) if ball_norm is None \
         else ball_norm
@@ -151,13 +159,11 @@ def minimize_batched(fun, sub, dim, n_nodes, radius, ball_norm=None,
     nodes = np.arange(n_nodes)
 
     def absorb(ys, vs):
-        nonlocal best_y, best_v
         idx = np.argmin(vs, axis=0)
         v = vs[idx, nodes]
         improve = v < best_v
-        if np.any(improve):
-            best_y[improve] = ys[idx[improve], improve]
-            best_v[improve] = v[improve]
+        best_y[improve] = ys[idx[improve], improve]
+        best_v[improve] = v[improve]
 
     if y0 is not None:
         y0 = project(np.array(y0, dtype=float))
@@ -165,32 +171,33 @@ def minimize_batched(fun, sub, dim, n_nodes, radius, ball_norm=None,
 
     if sub is not None:
         # all starts advance as one batched stack
-        starts = _multistarts(dim, radius, hint, n_starts)
+        starts = _multistarts(dim, rad, hint, n_starts)
         ys = project(np.stack([np.broadcast_to(s, (n_nodes, dim))
                                for s in starts]).astype(float))
         absorb(ys, fun(ys))
         for k in range(1, n_iter + 1):
             g = sub(ys)
             gn = np.linalg.norm(g, axis=-1, keepdims=True)
-            ys = project(ys - (radius / k) * g / np.maximum(gn, 1e-300))
+            ys = project(ys - (rad / k) * g / np.maximum(gn, 1e-300))
             absorb(ys, fun(ys))
 
-    # pattern polish: fixed direction set, shrinking radius, all nodes in step
+    # pattern polish: fixed direction set, one shrinking step per node
     dirs = _directions(dim)
-    r = max(radius / 4.0, min_radius * 2)
+    step = np.broadcast_to(np.maximum(radius / 4.0, min_radius * 2),
+                           (n_nodes,)).copy()
+    active = step > min_radius
     rounds = 0
-    while r > min_radius and rounds < polish_rounds:
+    while np.any(active) and rounds < polish_rounds:
         rounds += 1
-        cand = project(best_y[None, :, :] + r * dirs[:, None, :])
+        cand = project(best_y[None, :, :] + step[:, None] * dirs[:, None, :])
         vals = fun(cand)
         idx = np.argmin(vals, axis=0)
         v = vals[idx, nodes]
-        improve = v < best_v - 1e-15
-        if np.any(improve):
-            best_y[improve] = cand[idx[improve], improve]
-            best_v[improve] = v[improve]
-        else:
-            r *= 0.5
+        improve = active & (v < best_v - 1e-15)
+        best_y[improve] = cand[idx[improve], improve]
+        best_v[improve] = v[improve]
+        step[active & ~improve] *= 0.5
+        active &= step > min_radius
     return best_y, best_v
 
 

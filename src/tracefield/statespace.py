@@ -34,7 +34,6 @@ class StateSample:
 
     algebra: AlgebraDescriptor
     stacks: list = field(repr=False)   # per block: (S, d, d) complex
-    pure: np.ndarray = field(repr=False)
     seed: int = 0
 
     @property
@@ -105,8 +104,7 @@ def sample_state_space(algebra: AlgebraDescriptor, count: int,
         states.append(embed(b, np.outer(v, v.conj())))
 
     stacks = [np.stack([st[b] for st in states]) for b in range(len(blocks))]
-    return StateSample(algebra, stacks, np.ones(len(states), dtype=bool),
-                       seed)
+    return StateSample(algebra, stacks, seed)
 
 
 def kadison_represent(x: Element, sample: StateSample) -> np.ndarray:

@@ -26,6 +26,12 @@ class TestGridConstruction:
         with pytest.raises(GridError, match="self-loop"):
             Grid("graph", 2, [(0, 1), (1, 1)], [1.0, 1.0])
 
+    @pytest.mark.parametrize("twin", [(0, 1), (1, 0)])
+    def test_parallel_edges_rejected(self, twin):
+        # summed into one edge, the two would give node 1 distance 3.0
+        with pytest.raises(GridError, match="edges 0 and 1 both join"):
+            Grid("graph", 2, [(0, 1), twin], [1.0, 2.0])
+
     def test_infinity_nodes_kept_sorted(self):
         g = path_grid(5, infinity=(4, 0))
         assert g.infinity == (0, 4)

@@ -9,7 +9,8 @@ from tracefield.cli import main
 from tracefield.errors import InputError
 from tracefield.extension import ExtensionProblem
 from tracefield.fields import constant_map_field
-from tracefield.generate import crossing_map_field, extension_instance
+from tracefield.generate import (crossing_map_field, extension_instance,
+                                 smooth_map_field)
 from tracefield.grids import circle_grid, path_grid
 from tracefield.schemas import (decode_extension_problem, decode_gauge,
                                 decode_grid, decode_instance,
@@ -142,6 +143,21 @@ class TestCLI:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["tolerances"]["residual"] == 1e-6
 
+    def test_decompose_tolerance_reaches_refined_levels(self, tmp_path):
+        # every eigenvalue of this field lies far below eig_zero = 50, so
+        # both parts vanish on the grid and on every refined level
+        phi = smooth_map_field([2], path_grid(12), seed=3)
+        path = write_instance(tmp_path, "smooth.json", encode_instance(
+            "decompose", {"map": encode_map_field(phi)}))
+        out = tmp_path / "out"
+        main(["decompose", path, "--out", str(out), "--refine", "2",
+              "--tol", "eig_zero=50"])
+        lines = (out / "jumps.csv").read_text().splitlines()[1:]
+        levels = {int(line.split(",")[1]) for line in lines}
+        assert levels == {0, 1, 2}
+        assert all(float(v) == 0.0
+                   for line in lines for v in line.split(",")[2:])
+
     def test_extend_success(self, tmp_path):
         problem = extension_instance(0, n_nodes=12, dim=3, dim_y=1,
                                      delta=0.1, margin=0.5)
@@ -179,6 +195,37 @@ class TestCLI:
         assert main(["decompose", path, "--out", str(out)]) == 1
         assert "map.rho[3][0]" in capsys.readouterr().err
         assert not (out / "norms.csv").exists()
+
+    @pytest.mark.parametrize("field, where", [
+        ("delta", "extend.delta"),
+        ("quotient_bar", "extend.seminorm.delta"),
+        ("quotient_aug", "extend.seminorm.terms[0].delta"),
+        ("max_abs_linear", "extend.seminorm.scale"),
+    ])
+    def test_non_finite_scalar_exits_1(self, tmp_path, capsys, field, where):
+        problem = extension_instance(0, n_nodes=6, dim=3, dim_y=1,
+                                     delta=0.1, margin=0.5)
+        payload = encode_extension_problem(problem)
+        nan = float("nan")
+        m = payload["seminorm"]
+        norm = {"p": 2.0, "weights": None}
+        payload["delta"] = nan if field == "delta" else 0.1
+        if field == "quotient_bar":
+            payload["seminorm"] = {"kind": "quotient_bar", "m": m,
+                                   "subspace": [[0.0, 0.0, 1.0]],
+                                   "delta": nan, "norm": norm}
+        elif field == "quotient_aug":
+            payload["seminorm"] = {"kind": "quotient_aug", "base": m,
+                                   "terms": [{"delta": nan, "norm": norm,
+                                              "subspace": [[0.0, 0.0, 1.0]]}]}
+        elif field == "max_abs_linear":
+            payload["seminorm"] = {"kind": "max_abs_linear",
+                                   "functionals": np.eye(3).tolist(),
+                                   "scale": nan}
+        path = write_instance(tmp_path, "nan.json",
+                              encode_instance("extend", payload))
+        assert main(["extend", path, "--out", str(tmp_path / "o")]) == 1
+        assert where in capsys.readouterr().err
 
     def test_unknown_payload_field_exits_1(self, tmp_path):
         g = path_grid(4)

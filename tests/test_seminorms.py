@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tracefield.grids import path_grid
-from tracefield.seminorms import (BaseNorm, MaxAbsLinear,
+from tracefield.seminorms import (BaseNorm, MaxAbsLinear, Quotient,
                                   ScaledByField, ScaledNorm, SeminormError,
                                   SubspaceDistance, SumGauge,
                                   VectorSpaceModel, balanced_chain,
                                   build_m_delta, check_locally_finite,
                                   eval_seminorm, inf_convolve,
                                   quotient_seminorms, validate_nilspace)
+from tracefield.solvers import orthonormal_rows
 
 from oracles import quotient_bar_scan, scan_min_1d
 
@@ -175,6 +176,45 @@ class TestQuotientPair:
             assert np.all(vb <= vt + 1e-12)
 
 
+class TestBatchedValues:
+    """``values(Z)`` solves every (vector, node) problem in one batch; it
+    must agree with one ``value_nodes`` solve per problem."""
+
+    def instance(self, seed=11):
+        rng = np.random.default_rng(seed)
+        m = ScaledNorm(rng.uniform(1, 2, N_NODES), N_NODES, 3)
+        model = VectorSpaceModel(3, BaseNorm(2.0), np.eye(3)[:2],
+                                 np.eye(3)[2:])
+        return m, model, rng.standard_normal((3, N_NODES, 3))
+
+    @staticmethod
+    def loop(gauge, Z):
+        return np.array([[gauge.value_nodes(Z[p, t])[0][t]
+                          for t in range(Z.shape[1])]
+                         for p in range(Z.shape[0])])
+
+    def test_quotients_match_per_point_loop(self):
+        m, model, Z = self.instance()
+        bar, tilde = quotient_seminorms(m, model, 0.3)
+        mixed = Quotient(bar.core, np.arange(N_NODES) % 2 == 0)
+        for gauge in (bar, tilde, mixed):
+            assert np.max(np.abs(gauge.values(Z) - self.loop(gauge, Z))) \
+                <= 1e-12
+        assert np.all(bar.values(Z) <= tilde.values(Z))
+
+    def test_inf_convolution_matches_per_point_loop(self):
+        m, _, Z = self.instance(12)
+        ic = inf_convolve(m, ScaledNorm(1.5, N_NODES, 3), np.eye(3)[:2])
+        assert np.max(np.abs(ic.values(Z) - self.loop(ic, Z))) <= 1e-12
+
+    def test_leading_axes_preserved(self):
+        m, model, Z = self.instance(13)
+        bar, _ = quotient_seminorms(m, model, 0.3)
+        Z4 = np.stack([Z, -Z])
+        assert bar.values(Z4).shape == (2, 3, N_NODES)
+        assert np.max(np.abs(bar.values(Z4)[1] - bar.values(-Z))) <= 1e-12
+
+
 class TestInfConvolve:
     def test_trivial_subspace_returns_second(self, rng):
         m1 = scaled2(dim=3)
@@ -281,3 +321,41 @@ class TestBalancedChain:
         chain = balanced_chain(m, model, 0.3, masks, f_bases,
                                np.zeros((1, 3)))
         assert np.max(np.abs(chain.stage_values)) <= 1e-12
+
+    def test_matches_per_point_reference(self):
+        m, model, _, masks, f_bases = self.build_instance(9)
+        masks = masks + [np.arange(N_NODES) >= 3]
+        f_bases = f_bases + [np.eye(3)[1:2]]
+        points = np.random.default_rng(2).standard_normal((3, 3))
+        chain = balanced_chain(m, model, 0.3, masks, f_bases, points)
+
+        # one value_nodes solve per vector, stage by stage
+        def lattice(rows):
+            q = orthonormal_rows(rows)
+            axes = [np.linspace(-2.0, 2.0, 9)] * q.shape[0]
+            mesh = np.meshgrid(*axes, indexing="ij")
+            pts = np.stack([g.ravel() for g in mesh], axis=-1) @ q
+            if not np.any(np.all(pts == 0.0, axis=1)):
+                pts = np.vstack([np.zeros(3), pts])
+            return pts
+
+        def at(gauge, xs):
+            return np.stack([gauge.value_nodes(x)[0] for x in xs])
+
+        stages = chain.stage_gauges
+        lat = lattice(f_bases[0])
+        tab = at(stages[0], lat)
+        expected = [at(stages[0], points)]
+        for n in range(1, len(f_bases)):
+            def conv(x):
+                return np.min(tab + at(stages[n], x - lat), axis=0)
+            expected.append(np.stack([conv(p) for p in points]))
+            if n + 1 < len(f_bases):
+                new_lat = lattice(f_bases[n])
+                tab = np.stack([conv(p) for p in new_lat])
+                lat = new_lat
+        _, tilde = quotient_seminorms(m, model, 0.3)
+        assert np.max(np.abs(chain.stage_values - np.stack(expected))) \
+            <= 1e-12
+        assert np.max(np.abs(chain.tilde_values - at(tilde, points))) \
+            <= 1e-12

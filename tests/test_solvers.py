@@ -103,6 +103,40 @@ class TestMinimizeBatched:
         assert v[0] <= 1e-8
 
 
+    @pytest.mark.parametrize("with_sub, rounds",
+                             [(False, 300), (True, 300), (False, 12)])
+    def test_batch_equals_problems_solved_alone(self, with_sub, rounds):
+        # independent problems, one per node, each with its own radius
+        rng = np.random.default_rng(3)
+        targets = rng.uniform(-3, 3, (5, 2))
+        weights = rng.uniform(0.5, 2.0, (5, 2))
+        radius = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
+        y0 = rng.uniform(-0.3, 0.3, (5, 2))
+
+        def problem(rows):
+            def fun(y):
+                return np.sum(weights[rows] * np.abs(y - targets[rows]),
+                              axis=-1) + 0.1 * np.linalg.norm(y, axis=-1)
+
+            def sub(y):
+                n = np.linalg.norm(y, axis=-1, keepdims=True)
+                return (weights[rows] * np.sign(y - targets[rows])
+                        + 0.1 * y / np.maximum(n, 1e-300))
+            return fun, sub if with_sub else None
+
+        fun, sub = problem(slice(None))
+        y, v = minimize_batched(fun, sub, 2, 5, radius, n_iter=40, y0=y0,
+                                polish_rounds=rounds)
+        for i in range(5):
+            fun_i, sub_i = problem(slice(i, i + 1))
+            y_i, v_i = minimize_batched(fun_i, sub_i, 2, 1, radius[i],
+                                        n_iter=40, y0=y0[i:i + 1],
+                                        polish_rounds=rounds)
+            assert np.array_equal(y[i:i + 1], y_i)
+            assert np.array_equal(v[i:i + 1], v_i)
+        assert np.all(np.linalg.norm(y, axis=-1) <= radius * (1 + 1e-12))
+
+
 class TestRowspaceHelpers:
     def test_nullspace(self):
         null = nullspace_rows(np.array([[1.0, 0.0, 0.0]]))
