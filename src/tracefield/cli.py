@@ -2,8 +2,8 @@
 
 Commands consume JSON instance files, write a JSON report plus CSV tables
 into the output directory, and exit with 0 on success, 2 on verification
-failure, and 1 on input errors.  Reruns with identical inputs produce
-byte-identical outputs.
+or numerical failure, and 1 on input errors.  Reruns with identical inputs
+produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from .algebra import EigensolverError
 from .config import DEFAULT_TOLS
 from .errors import InputError, VerificationError
 from .extension import extend_full, restriction_residual
@@ -354,6 +355,10 @@ def main(argv=None) -> int:
     try:
         tols = _parse_tols(args.tol)
         return _COMMANDS[args.command](args, tols)
+    except (EigensolverError, np.linalg.LinAlgError) as exc:
+        # before ValueError: LinAlgError is one
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return _EXIT_VERIFY
     except (InputError, ValueError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return _EXIT_INPUT

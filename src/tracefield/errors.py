@@ -2,7 +2,8 @@
 
 Input problems (malformed files, shape mismatches) map to exit code 1;
 verification failures (violated domination, coercivity breakdown, residuals
-over tolerance) map to exit code 2.
+over tolerance) and numerical failures (an eigensolver that does not
+converge) map to exit code 2.
 """
 
 

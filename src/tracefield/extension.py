@@ -63,12 +63,8 @@ class ExtensionProblem:
         k_y = self.model.subspace.shape[0]
         coeffs = np.vstack([np.eye(k_y), -np.eye(k_y),
                             rng.standard_normal((64, k_y))])
-        y_amb = coeffs @ self.model.subspace
-        vals = self.gauge.values(
-            np.broadcast_to(y_amb[:, None, :],
-                            (coeffs.shape[0], self.grid.n, self.model.dim)))
-        phi_vals = coeffs @ self.phi.T      # (S, n_nodes)
-        worst = float(np.max(np.abs(phi_vals) - vals))
+        worst = _sampled_excess(self.gauge, coeffs @ self.model.subspace,
+                                coeffs @ self.phi.T)
         if worst > 1e-9:
             raise InputError(
                 f"input map is not dominated by the gauge (excess {worst:.3e})")
@@ -88,23 +84,37 @@ class RadiusCertificate:
     sphere_samples: int
 
 
-def _sphere_dirs(k, count, seed):
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((count, k))
+def sphere_table(model: VectorSpaceModel, gauge: Gauge, phi,
+                 count: int = 5000):
+    """Gauge and map values on normalized samples of the unit sphere of Y.
+
+    Returns ``(g, p, dirs)``: ``g[s, t]`` is the gauge and ``p[s, t]`` the
+    map at sample s and node t, and ``dirs[s]`` holds the sample's
+    coordinates in the subspace basis.  The samples are fixed by
+    ``_SPHERE_SEED``; the first 2 kY are the signed basis vectors.
+    """
+    k = model.subspace.shape[0]
+    dirs = np.random.default_rng(_SPHERE_SEED).standard_normal((count, k))
     dirs[:2 * k] = np.vstack([np.eye(k), -np.eye(k)])[:min(2 * k, count)]
-    return dirs
+    y_amb = dirs @ model.subspace
+    norms = model.norm.value(y_amb)
+    y_amb = y_amb / norms[:, None]
+    dirs = dirs / norms[:, None]
+    g = gauge.values(np.broadcast_to(
+        y_amb[:, None, :], (count, gauge.n_nodes, model.dim)))
+    return g, dirs @ np.asarray(phi).T, dirs
 
 
 def radius_bound(problem: ExtensionProblem, x, gauge: Gauge = None,
                  samples: int = 1000) -> RadiusCertificate:
     """Coercivity margin on the unit sphere of Y and a safe search radius.
 
-    The margin is the least gauge-minus-map value over normalized subspace
-    samples and nodes; it is re-certified on a four-fold refined sample.
-    Nodes where the gauge vanishes on the whole subspace are exempt
-    (the extension there is forced to zero) provided the map vanishes too.
-    Raises :class:`CoercivityError` when the margin is not positive,
-    naming the violating direction.
+    The margin is the least gauge-minus-map value over the
+    ``5 * samples`` normalized subspace samples of :func:`sphere_table`
+    and the nodes.  Nodes where the gauge vanishes on the whole subspace
+    are exempt (the extension there is forced to zero) provided the map
+    vanishes too.  Raises :class:`CoercivityError` when the margin is not
+    positive, naming the violating direction.
     """
     x = np.asarray(x, dtype=float)
     model, grid = problem.model, problem.grid
@@ -114,19 +124,9 @@ def radius_bound(problem: ExtensionProblem, x, gauge: Gauge = None,
     if k_y == 0:
         return RadiusCertificate(0.0, np.inf, None, None, (), 0)
 
-    def margins(count, seed):
-        dirs = _sphere_dirs(k_y, count, seed)
-        y_amb = dirs @ model.subspace
-        norms = model.norm.value(y_amb)
-        y_amb = y_amb / norms[:, None]
-        dirs = dirs / norms[:, None]
-        g = gauge.values(np.broadcast_to(
-            y_amb[:, None, :], (count, grid.n, model.dim)))
-        p = dirs @ problem.phi.T
-        return g - p, g, p, dirs
-
     total = samples + 4 * samples
-    m1, g1, p1, d1 = margins(total, _SPHERE_SEED)
+    g1, p1, d1 = sphere_table(model, gauge, problem.phi, total)
+    m1 = g1 - p1
 
     # nodes where the gauge kills the whole subspace: extension forced there
     dead = np.max(g1, axis=0) <= 1e-13
@@ -412,8 +412,9 @@ def extend_one(problem: ExtensionProblem, x, gauge: Gauge = None,
     new_problem = ExtensionProblem(problem.grid, new_model, problem.gauge,
                                    new_phi, problem.delta, problem.tols,
                                    validate=False)
-    excess = _domination_excess(problem.grid, new_sub, new_phi, gauge,
-                                seed=_CERT_SEED + direction_index)
+    coeffs = np.random.default_rng(_CERT_SEED + direction_index) \
+        .standard_normal((256, new_sub.shape[0]))
+    excess = _sampled_excess(gauge, coeffs @ new_sub, coeffs @ new_phi.T)
     cert = StepCertificate(direction_index,
                            problem.delta if budget is None else budget,
                            cert_r.radius, cert_r.margin, pair.gap_min, f,
@@ -430,16 +431,6 @@ def _reduce_complement(model, new_sub):
             keep.append(row)
             stacked = trial
     return np.vstack(keep) if keep else np.zeros((0, model.dim))
-
-
-def _domination_excess(grid, basis, values, gauge, seed, count=256):
-    rng = np.random.default_rng(seed)
-    coeffs = rng.standard_normal((count, basis.shape[0]))
-    zs = coeffs @ basis
-    g = gauge.values(np.broadcast_to(zs[:, None, :],
-                                     (count, grid.n, basis.shape[1])))
-    vals = coeffs @ values.T
-    return float(np.max(np.abs(vals) - g))
 
 
 def extend_full(problem: ExtensionProblem, order=None) -> ExtensionResult:
@@ -491,13 +482,19 @@ def extend_full(problem: ExtensionProblem, order=None) -> ExtensionResult:
 
 def _final_excess(problem: ExtensionProblem, matrix, count=1000):
     """max over random z of |phi_tilde(z)| - m(z) - 2 delta ||z||."""
-    rng = np.random.default_rng(_CERT_SEED)
-    zs = rng.standard_normal((count, problem.model.dim))
-    g = problem.gauge.values(np.broadcast_to(
-        zs[:, None, :], (count, problem.grid.n, problem.model.dim)))
-    bound = g + 2.0 * problem.delta * problem.model.norm.value(zs)[:, None]
-    vals = zs @ matrix.T
-    return float(np.max(np.abs(vals) - bound))
+    zs = np.random.default_rng(_CERT_SEED).standard_normal(
+        (count, problem.model.dim))
+    slack = 2.0 * problem.delta * problem.model.norm.value(zs)[:, None]
+    return _sampled_excess(problem.gauge, zs, zs @ matrix.T, slack)
+
+
+def _sampled_excess(gauge: Gauge, zs, vals, slack=0.0) -> float:
+    """Sampled domination excess ``max |vals| - (m(z) + slack)`` of a map
+    with values ``vals[s, t]`` at the points ``zs[s]``, over samples and
+    nodes."""
+    g = gauge.values(np.broadcast_to(
+        zs[:, None, :], (zs.shape[0], gauge.n_nodes, zs.shape[1])))
+    return float(np.max(np.abs(vals) - (g + slack)))
 
 
 def restriction_residual(result: ExtensionResult, problem: ExtensionProblem):

@@ -48,9 +48,6 @@ class MapField:
             raise AlgebraError("MapField: block count mismatch")
         object.__setattr__(self, "stacks", stacks)
 
-    def rho_at(self, t: int) -> FunctionalRep:
-        return FunctionalRep(self.algebra, [s[t] for s in self.stacks])
-
     def scaled(self, a) -> "MapField":
         a = np.asarray(a, dtype=float)
         if a.ndim == 0:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .algebra import AlgebraDescriptor
 from .errors import InputError
-from .extension import ExtensionProblem, radius_bound
+from .extension import ExtensionProblem, sphere_table
 from .fields import MapField
 from .grids import Grid, path_grid
 from .seminorms import BaseNorm, MaxAbsLinear, ScaledNorm, VectorSpaceModel
@@ -95,8 +95,9 @@ def extension_instance(seed, n_nodes: int = 100, dim: int = 4,
 
     For the scaled-norm kind the gauge scale is the map's nodewise dual norm
     plus the margin, which makes the sphere margin exactly the requested
-    value; the max-abs-linear kind calibrates the map's scale by bisection
-    against the measured margin.
+    value; the max-abs-linear kind scales the map so that the margin on
+    :func:`~tracefield.extension.radius_bound`'s sphere sample is exactly
+    the requested value.
     """
     if not 0 < dim_y < dim:
         raise InputError("need 0 < dim_y < dim")
@@ -122,35 +123,22 @@ def extension_instance(seed, n_nodes: int = 100, dim: int = 4,
     scale = 1.0 + 0.25 * np.sin(2 * np.pi * u)
     gauge = MaxAbsLinear(rows, grid.n, scale=scale)
 
-    # calibrate the map so the measured sphere margin matches the request
-    def measured(s):
-        try:
-            cert = radius_bound(
-                ExtensionProblem(grid, model, gauge, s * phi, delta,
-                                 validate=False),
-                complement[0], gauge)
-            return cert.margin
-        except Exception:
-            return -1.0
-
-    base = measured(0.0)
+    # On the sphere table radius_bound certifies, the margin of s * phi is
+    # min(g - s p), a minimum of affine functions of s; it exceeds the
+    # request exactly for s below min over p > 0 of (g - margin) / p.
+    g, p, _ = sphere_table(model, gauge, phi)
+    base = float(np.min(g))
     if base <= margin:
-        # lift the gauge floor above the requested margin, then recalibrate
+        # lift the gauge floor above the requested margin
         if base <= 0:
             raise InputError("degenerate gauge rows (change the seed)")
         scale = scale * (2.2 * margin / base)
         gauge = MaxAbsLinear(rows, grid.n, scale=scale)
-        base = measured(0.0)
+        g, p, _ = sphere_table(model, gauge, phi)
+        base = float(np.min(g))
     if base <= margin:
         raise InputError("requested margin exceeds the gauge floor; "
                          "lower the margin or rescale the gauge")
-    lo, hi = 0.0, 1.0
-    while measured(hi) > margin and hi < 1e6:
-        hi *= 2.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if measured(mid) > margin:
-            lo = mid
-        else:
-            hi = mid
-    return ExtensionProblem(grid, model, gauge, lo * phi, delta)
+    rising = p > 0
+    s = float(np.min((g[rising] - margin) / p[rising]))
+    return ExtensionProblem(grid, model, gauge, s * phi, delta)

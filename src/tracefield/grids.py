@@ -36,7 +36,7 @@ class Grid:
     infinity : iterable of int
         Node ids treated as the points at infinity (may be empty).
     positions : array_like or None
-        Arc-length coordinate per node for path/circle grids; used by
+        Finite arc-length coordinate per node for path/circle grids; used by
         generators and reports, not by the graph metric.
     """
 
@@ -66,8 +66,14 @@ class Grid:
         self.edges = edges
         self.lengths = lengths
         self.infinity = infinity
-        self.positions = None if positions is None else \
-            np.asarray(positions, dtype=float).reshape(n)
+        if positions is not None:
+            positions = np.asarray(positions, dtype=float).reshape(-1)
+            if positions.shape != (n,):
+                raise GridError(f"grid has {n} nodes but "
+                                f"{positions.shape[0]} positions")
+            if not np.all(np.isfinite(positions)):
+                raise GridError("node positions must be finite")
+        self.positions = positions
         self._neighbors = None
         self._adj = self._adjacency()
         if self._adj.nnz < 2 * edges.shape[0]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (AlgebraDescriptor, AlgebraError, Element, FunctionalRep,
-                      random_contraction, support_projection)
+                      _eigh, random_contraction, support_projection)
 from .config import Tolerances, DEFAULT_TOLS
 from .fields import (MapField, evaluate, pointwise_norm, refine_map_field)
 from .grids import modulus_of_continuity, refine
@@ -43,10 +43,7 @@ def split_map(phi: MapField, tols: Tolerances = DEFAULT_TOLS):
     """
     plus_stacks, minus_stacks = [], []
     for b, s in enumerate(phi.stacks):
-        try:
-            w, u = np.linalg.eigh(s)
-        except np.linalg.LinAlgError as exc:
-            raise AlgebraError(f"eigensolver failed on block {b}: {exc}")
+        w, u = _eigh(s, f"split_map block {b}")
         wp = np.where(w > tols.eig_zero, w, 0.0)
         wm = np.where(w < -tols.eig_zero, -w, 0.0)
         uc = np.conj(np.transpose(u, (0, 2, 1)))

@@ -74,9 +74,12 @@ def decode_grid(obj) -> Grid:
         raise InputError("grid.edges: expected [i, j, length] triples")
     pairs = [(e[0], e[1]) for e in edges]
     lengths = [e[2] for e in edges]
+    positions = obj.get("positions")
+    if positions is not None:
+        positions = _floats(positions, "grid.positions")
     try:
         return Grid(obj["kind"], obj["nodes"], pairs, lengths,
-                    obj["infinity"], obj.get("positions"))
+                    obj["infinity"], positions)
     except ValueError as exc:
         raise InputError(f"grid: {exc}")
 

@@ -595,8 +595,7 @@ class InfConv(_BatchSolved):
     the candidates.
     """
 
-    def __init__(self, m1: Gauge, m2: Gauge, f_rows, oracle=False,
-                 search_radius=None):
+    def __init__(self, m1: Gauge, m2: Gauge, f_rows, oracle=False):
         if m1.dim != m2.dim or m1.n_nodes != m2.n_nodes:
             raise SeminormError("inf-convolution parts disagree in shape")
         self.m1, self.m2 = m1, m2
@@ -605,7 +604,6 @@ class InfConv(_BatchSolved):
             if np.size(f_rows) else np.zeros((0, self.dim))
         self.fq = orthonormal_rows(self.f)
         self.oracle = oracle
-        self.search_radius = search_radius
 
     def _solve(self, Z, extra=None):
         P, n, dim = Z.shape
@@ -614,9 +612,7 @@ class InfConv(_BatchSolved):
         if k:
             proj = (Z @ self.fq.T) @ self.fq
             cands += [proj, 0.5 * proj]
-            radius = np.full(P * n, float(self.search_radius)) \
-                if self.search_radius \
-                else 4.0 * (1.0 + np.linalg.norm(Z, axis=-1).reshape(-1))
+            radius = 4.0 * (1.0 + np.linalg.norm(Z, axis=-1).reshape(-1))
 
             def fun(C):
                 Y = C.reshape(C.shape[:-2] + (P, n, k)) @ self.fq

@@ -8,6 +8,8 @@ of independent problems solved in lockstep.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy.optimize import linprog
 
@@ -210,25 +212,20 @@ def _sweep_path(lo, hi, start=None):
     Returns per-node triples (m, a, b): minimal accumulated variation m and
     the flat argmin interval [a, b] within the node's tube.
     """
-    n = lo.shape[0]
-    out = np.zeros((n, 3))
-    if start is None:
-        m, a, b = 0.0, lo[0], hi[0]
-    else:
-        m, a, b = 0.0, start, start
-    out[0] = (m, a, b)
-    for i in range(1, n):
-        if hi[i] < a:
-            m += a - hi[i]
-            a = b = hi[i]
-        elif lo[i] > b:
-            m += lo[i] - b
-            a = b = lo[i]
+    m, a, b = (0.0, lo[0], hi[0]) if start is None else (0.0, start, start)
+    out = [(m, a, b)]
+    for lo_i, hi_i in zip(lo[1:].tolist(), hi[1:].tolist()):
+        if hi_i < a:
+            m += a - hi_i
+            a = b = hi_i
+        elif lo_i > b:
+            m += lo_i - b
+            a = b = lo_i
         else:
-            a = max(a, lo[i])
-            b = min(b, hi[i])
-        out[i] = (m, a, b)
-    return out
+            a = max(a, lo_i)
+            b = min(b, hi_i)
+        out.append((m, a, b))
+    return np.array(out)
 
 
 def _backtrack_path(lo, hi, mid, sweep, f_last):
@@ -248,8 +245,8 @@ def _backtrack_path(lo, hi, mid, sweep, f_last):
     return f
 
 
-def taut_string_path(lo, hi, mid=None):
-    """TV-minimal selection in a tube along a path, ties toward ``mid``.
+def taut_string_path(lo, hi):
+    """TV-minimal selection in a tube along a path, ties toward the midpoint.
 
     ``lo <= f <= hi`` holds exactly; among all selections of minimal total
     variation the backward pass picks, step by step, the admissible value
@@ -259,7 +256,7 @@ def taut_string_path(lo, hi, mid=None):
     hi = np.asarray(hi, dtype=float)
     if np.any(lo > hi):
         raise SolverError("taut_string_path: empty tube (lo > hi somewhere)")
-    mid = 0.5 * (lo + hi) if mid is None else np.asarray(mid, dtype=float)
+    mid = 0.5 * (lo + hi)
     sweep = _sweep_path(lo, hi)
     _, a, b = sweep[-1]
     f_last = min(max(mid[-1], a), b)
@@ -272,57 +269,46 @@ def _cycle_cost(lo, hi, v):
     return m + max(0.0, a - v, v - b), sweep
 
 
-def taut_string_cycle(lo, hi, mid=None):
-    """TV-minimal selection in a tube around a cycle (nodes in cyclic order)."""
+def _first(pred, i, j):
+    """Least k in [i, j] with ``pred(k)``; pred is monotone and pred(j) holds."""
+    while i < j:
+        k = (i + j) // 2
+        if pred(k):
+            j = k
+        else:
+            i = k + 1
+    return i
+
+
+def taut_string_cycle(lo, hi):
+    """TV-minimal selection in a tube around a cycle (nodes in cyclic order).
+
+    The cost of pinning node 0 at v is convex and piecewise linear in v,
+    with its kinks among the tube bounds clipped to node 0's interval.
+    Bisection over those sorted breakpoints finds the minimum and then the
+    first and last breakpoint within ``1e-12 (1 + min)`` of it; node 0 takes
+    its midpoint clipped into that flat bottom, the other nodes follow by the
+    path backtrack.
+    """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if np.any(lo > hi):
         raise SolverError("taut_string_cycle: empty tube")
-    mid = 0.5 * (lo + hi) if mid is None else np.asarray(mid, dtype=float)
+    mid = 0.5 * (lo + hi)
+    cand = np.unique(np.clip(np.concatenate([lo, hi]), lo[0], hi[0]))
+    last = len(cand) - 1
 
-    def g(v):
-        return _cycle_cost(lo, hi, v)[0]
+    @functools.cache
+    def g(i):
+        return _cycle_cost(lo, hi, cand[i])[0]
 
-    # pinned-value cost is convex piecewise linear; candidate breakpoints are
-    # the tube bounds, then ternary refinement around the best one
-    cand = np.unique(np.clip(np.concatenate([lo, hi, [mid[0]]]),
-                             lo[0], hi[0]))
-    vals = np.array([g(v) for v in cand])
-    k = int(np.argmin(vals))
-    left = cand[max(k - 1, 0)]
-    right = cand[min(k + 1, len(cand) - 1)]
-    for _ in range(200):
-        if right - left < 1e-14 * max(1.0, abs(left) + abs(right)) + 1e-300:
-            break
-        u1 = left + (right - left) / 3
-        u2 = right - (right - left) / 3
-        if g(u1) <= g(u2):
-            right = u2
-        else:
-            left = u1
-    v_best = 0.5 * (left + right)
-    best = g(v_best)
-
-    # flat-bottom edges of {v : g(v) <= best + eps}, then tie toward mid[0]
+    k = _first(lambda i: i == last or g(i + 1) >= g(i), 0, last)
+    best = g(k)
     eps = 1e-12 * (1.0 + abs(best))
-
-    def flat_edge(inside, outside):
-        # boundary of the near-optimal set between a point inside it and one
-        # outside; bisection keeps the returned value inside
-        if g(outside) <= best + eps:
-            return outside
-        a, b = inside, outside
-        for _ in range(100):
-            m_ = 0.5 * (a + b)
-            if g(m_) <= best + eps:
-                a = m_
-            else:
-                b = m_
-        return a
-
-    flat_hi = flat_edge(v_best, hi[0])
-    flat_lo = flat_edge(v_best, lo[0])
-    v0 = min(max(mid[0], min(flat_lo, flat_hi)), max(flat_lo, flat_hi))
+    flat_lo = cand[_first(lambda i: g(i) <= best + eps, 0, k)]
+    flat_hi = cand[_first(lambda i: i == last or g(i + 1) > best + eps,
+                          k, last)]
+    v0 = min(max(mid[0], flat_lo), flat_hi)
 
     _, sweep = _cycle_cost(lo, hi, v0)
     _, a, b = sweep[-1]
@@ -339,9 +325,9 @@ def taut_string_cycle(lo, hi, mid=None):
     return f
 
 
-def tube_tv_graph(lo, hi, edges, mid=None, tie_break=True):
-    """Two-stage LP: minimal total variation in the tube, then (optionally)
-    minimal l1 distance to the midpoint among near-optimal selections."""
+def tube_tv_graph(lo, hi, edges):
+    """Two-stage LP: minimal total variation in the tube, then minimal l1
+    distance to the midpoint among near-optimal selections."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     n = lo.shape[0]
@@ -349,7 +335,7 @@ def tube_tv_graph(lo, hi, edges, mid=None, tie_break=True):
     m = edges.shape[0]
     if np.any(lo > hi):
         raise SolverError("tube_tv_graph: empty tube")
-    mid = 0.5 * (lo + hi) if mid is None else np.asarray(mid, dtype=float)
+    mid = 0.5 * (lo + hi)
 
     # variables: f (n), t (m) with t_e >= |f_i - f_j|
     c = np.concatenate([np.zeros(n), np.ones(m)])
@@ -361,8 +347,6 @@ def tube_tv_graph(lo, hi, edges, mid=None, tie_break=True):
     bounds = [(lo[i], hi[i]) for i in range(n)] + [(0, None)] * m
     res = lp_solve(c, A_ub=A, b_ub=b, bounds=bounds, context="tube TV LP")
     tv_opt = float(res.fun)
-    if not tie_break:
-        return np.clip(res.x[:n], lo, hi), tv_opt
 
     # stage 2: among TV-near-optimal selections, closest (l1) to the midpoint
     c2 = np.concatenate([np.zeros(n + m), np.ones(n)])

@@ -124,3 +124,34 @@ def quotient_bar_scan(m_at_node, norm_value, w_dir, z, delta, radius=30.0):
 
     val, _ = scan_min_1d(fun, radius)
     return val
+
+
+def cycle_flat_bottom(lo, hi):
+    """Full scan of the pinned-value cost of a tube around a cycle.
+
+    With node 0 pinned at v, the least total variation around the cycle is
+    convex and piecewise linear in v, with its kinks among the tube bounds.
+    The scan evaluates it at every bound clipped to node 0's interval and
+    returns ``(best, v_lo, v_hi)``: the minimum and the first and last
+    breakpoint within ``1e-12 (1 + best)`` of it.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+
+    def cost(v):
+        # (m, [a, b]): least variation so far and the values attaining it
+        m, a, b = 0.0, v, v
+        for lo_i, hi_i in zip(lo[1:], hi[1:]):
+            if hi_i < a:
+                m, a, b = m + (a - hi_i), hi_i, hi_i
+            elif lo_i > b:
+                m, a, b = m + (lo_i - b), lo_i, lo_i
+            else:
+                a, b = max(a, lo_i), min(b, hi_i)
+        return m + max(0.0, a - v, v - b)
+
+    cand = np.unique(np.clip(np.concatenate([lo, hi]), lo[0], hi[0]))
+    vals = np.array([cost(v) for v in cand])
+    best = float(np.min(vals))
+    near = cand[vals <= best + 1e-12 * (1.0 + abs(best))]
+    return best, near[0], near[-1]

@@ -53,6 +53,21 @@ class TestExtensionInstances:
         cert1 = radius_bound(problem1, problem1.model.complement[0])
         assert cert1.margin == pytest.approx(requested, abs=1e-9)
 
+    @pytest.mark.parametrize("seed, requested, lifted",
+                             [(0, 0.4, False), (4, 0.4, False),
+                              (0, 0.8, True), (3, 1.2, True)])
+    def test_max_abs_linear_margin_is_exact(self, seed, requested, lifted):
+        # the certified margin is read off the same sphere sample the
+        # calibration solves on, so it equals the request to rounding
+        problem = extension_instance(seed, n_nodes=25, dim=4, dim_y=2,
+                                     delta=0.1, margin=requested,
+                                     gauge_kind="max_abs_linear")
+        u = problem.grid.positions / problem.grid.positions[-1]
+        floor_scale = 1.0 + 0.25 * np.sin(2 * np.pi * u)
+        assert lifted == (not np.allclose(problem.gauge.scale, floor_scale))
+        cert = radius_bound(problem, problem.model.complement[0])
+        assert abs(cert.margin - requested) <= 1e-12
+
     def test_rejects_bad_dimensions(self):
         with pytest.raises(ValueError):
             extension_instance(0, dim=3, dim_y=3)

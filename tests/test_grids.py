@@ -32,6 +32,14 @@ class TestGridConstruction:
         with pytest.raises(GridError, match="edges 0 and 1 both join"):
             Grid("graph", 2, [(0, 1), twin], [1.0, 2.0])
 
+    @pytest.mark.parametrize("positions", [[0.0, 0.5, np.nan],
+                                           [0.0, np.inf, 1.0],
+                                           [0.0, 1.0]])
+    def test_bad_positions_rejected(self, positions):
+        with pytest.raises(GridError, match="positions"):
+            Grid("path", 3, [(0, 1), (1, 2)], [1.0, 1.0],
+                 positions=positions)
+
     def test_infinity_nodes_kept_sorted(self):
         g = path_grid(5, infinity=(4, 0))
         assert g.infinity == (0, 4)

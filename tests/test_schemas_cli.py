@@ -101,6 +101,12 @@ class TestStrictValidation:
         with pytest.raises(InputError, match=r"extend\.phi\[2\]\[0\]"):
             decode_extension_problem(payload)
 
+    def test_non_finite_position_names_path(self):
+        g = encode_grid(path_grid(3))
+        g["positions"] = [0.0, 0.5, float("nan")]
+        with pytest.raises(InputError, match=r"grid\.positions\[2\]"):
+            decode_grid(g)
+
     def test_version_checked(self):
         with pytest.raises(InputError):
             decode_instance({"version": 99, "kind": "decompose",
@@ -226,6 +232,25 @@ class TestCLI:
                               encode_instance("extend", payload))
         assert main(["extend", path, "--out", str(tmp_path / "o")]) == 1
         assert where in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ndim", [3, 2])
+    def test_eigensolver_failure_exits_2(self, tmp_path, capsys, monkeypatch,
+                                         ndim):
+        # 3: the stacked split of every node; 2: a single matrix, as in the
+        # random contractions of the continuity study
+        eigh = np.linalg.eigh
+
+        def failing(a, *args, **kwargs):
+            if np.ndim(a) == ndim:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a, *args, **kwargs)
+
+        path = decompose_instance(tmp_path)
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        assert main(["decompose", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:")
+        assert "Traceback" not in err
 
     def test_unknown_payload_field_exits_1(self, tmp_path):
         g = path_grid(4)

@@ -7,7 +7,7 @@ from tracefield.solvers import (SolverError, intersect_rowspaces,
                                 taut_string_path, total_variation,
                                 tube_tv_graph)
 
-from oracles import tube_tv_lp
+from oracles import cycle_flat_bottom, tube_tv_lp
 
 
 def random_tube(seed, n, drift=0.3):
@@ -56,6 +56,32 @@ class TestTautStringCycle:
         edges = [(i, (i + 1) % 24) for i in range(24)]
         assert total_variation(f, edges) == pytest.approx(
             tube_tv_lp(lo, hi, edges), abs=1e-8)
+
+
+    @pytest.mark.parametrize("seed, n, drift", [(0, 16, 0.3), (3, 16, 0.3),
+                                                 (17, 16, 0.3), (5, 40, 1.0),
+                                                 (9, 200, 0.3)])
+    def test_flat_bottom_exact(self, seed, n, drift):
+        # on (0, 16, 0.3) a flat-bottom edge placed eps/slope outside the
+        # flat bottom costs 3.7e-12 of total variation
+        lo, hi = random_tube(seed, n, drift)
+        f = taut_string_cycle(lo, hi)
+        assert np.all(f >= lo) and np.all(f <= hi)
+        edges = [(i, (i + 1) % n) for i in range(n)]
+        best, v_lo, v_hi = cycle_flat_bottom(lo, hi)
+        assert f[0] == min(max(0.5 * (lo[0] + hi[0]), v_lo), v_hi)
+        tv = total_variation(f, edges)
+        assert abs(tv - best) <= 1e-13
+        assert abs(tv - tube_tv_lp(lo, hi, edges)) <= 1e-13
+
+    def test_pinned_first_node(self):
+        lo, hi = random_tube(4, 20)
+        lo[0] = hi[0] = 0.5 * (lo[0] + hi[0])
+        f = taut_string_cycle(lo, hi)
+        edges = [(i, (i + 1) % 20) for i in range(20)]
+        assert f[0] == lo[0]
+        assert abs(total_variation(f, edges) - tube_tv_lp(lo, hi, edges)) \
+            <= 1e-13
 
 
 class TestTubeGraphLP:
