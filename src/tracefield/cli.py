@@ -27,9 +27,10 @@ from .grids import path_grid
 from .jordan import (continuity_report, decompose_map, verify_norm_additivity)
 from .reports import write_csv, write_json
 from .schemas import (decode_element, decode_extension_problem,
-                      decode_gauge, decode_instance, decode_map_field,
+                      decode_instance, decode_map_field,
                       encode_extension_problem, encode_instance,
                       encode_map_field, _expect)
+from .solvers import SolverError
 from .statespace import envelope_field, sample_state_space
 
 _EXIT_OK, _EXIT_INPUT, _EXIT_VERIFY = 0, 1, 2
@@ -122,28 +123,10 @@ def _cmd_decompose(args, tols):
     return _EXIT_VERIFY if bad else _EXIT_OK
 
 
-def _apply_oracle(gauge):
-    """Switch on dense-scan cross-checks in every inner minimization."""
-    core = getattr(gauge, "core", None)
-    if core is not None:
-        core.oracle = True
-        _apply_oracle(core.m)
-    if hasattr(gauge, "oracle"):
-        gauge.oracle = True
-    for attr in ("base", "inner", "inside", "outside", "m1", "m2"):
-        child = getattr(gauge, attr, None)
-        if child is not None:
-            _apply_oracle(child)
-    for part in getattr(gauge, "parts", ()):
-        _apply_oracle(part)
-
-
 def _cmd_extend(args, tols):
     _, payload = _load_instance(args.instance, "extend")
-    problem, order = decode_extension_problem(payload)
-    problem.tols = tols
-    if args.oracle:
-        _apply_oracle(problem.gauge)
+    problem, order = decode_extension_problem(payload, tols=tols,
+                                              oracle=args.oracle)
     result = extend_full(problem, order)
     restriction = restriction_residual(result, problem)
     report = _base_report("extend", args.instance, tols, args.seed)
@@ -193,7 +176,10 @@ def _cmd_envelope(args, tols):
     prev_upper = None
     monotone = True
     for i, (fam, d_n) in enumerate(zip(chain, delta_seq)):
-        env = envelope_field(phi, fam, x, d_n, sample)
+        try:
+            env = envelope_field(phi, fam, x, d_n, sample)
+        except SolverError as exc:
+            raise SolverError(f"stage {i} {exc}") from exc
         if prev_upper is not None and np.any(env.upper > prev_upper + 1e-9):
             monotone = False
         prev_upper = env.upper
@@ -239,8 +225,7 @@ def _cmd_verify(args, tols):
         sub = {k: payload[k] for k in
                ("grid", "space", "phi", "seminorm", "delta", "order")
                if k in payload}
-        problem, order = decode_extension_problem(sub)
-        problem.tols = tols
+        problem, order = decode_extension_problem(sub, tols=tols)
         result = extend_full(problem, order)
         restriction = restriction_residual(result, problem)
         ok = (restriction <= 1e-9 and result.final_excess <= tols.solver)
@@ -348,8 +333,6 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    from .solvers import SolverError
-
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import AlgebraDescriptor, Element
+from .config import DEFAULT_TOLS
 from .errors import InputError
 from .extension import ExtensionProblem
 from .fields import MapField
@@ -214,10 +215,17 @@ def encode_gauge(g: Gauge) -> dict:
     raise InputError(f"gauge kind {type(g).__name__} is not serializable")
 
 
-def decode_gauge(obj, n_nodes: int, path="seminorm") -> Gauge:
+def decode_gauge(obj, n_nodes: int, path="seminorm",
+                 oracle: bool = False) -> Gauge:
+    """Gauge from its JSON object; ``oracle`` switches on the dense-scan
+    cross-checks of every quotient and inf-convolution inner solve."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InputError(f"{path}: expected an object with a 'kind' tag")
     kind = obj["kind"]
+
+    def sub(key):
+        return decode_gauge(obj[key], n_nodes, f"{path}.{key}", oracle)
+
     try:
         if kind == "scaled_norm":
             _expect(obj, ("kind", "dim", "c"), ("norm",), path)
@@ -232,16 +240,15 @@ def decode_gauge(obj, n_nodes: int, path="seminorm") -> Gauge:
                                                  f"{path}.scale"))
         if kind == "sum":
             _expect(obj, ("kind", "parts"), (), path)
-            return SumGauge([decode_gauge(p, n_nodes, f"{path}.parts[{i}]")
+            return SumGauge([decode_gauge(p, n_nodes, f"{path}.parts[{i}]",
+                                          oracle)
                              for i, p in enumerate(obj["parts"])])
         if kind == "node_scaled":
             _expect(obj, ("kind", "factor", "inner"), (), path)
-            return ScaledByField(
-                decode_gauge(obj["inner"], n_nodes, f"{path}.inner"),
-                _floats(obj["factor"], path))
+            return ScaledByField(sub("inner"), _floats(obj["factor"], path))
         if kind == "quotient_aug":
             _expect(obj, ("kind", "base", "terms"), (), path)
-            base = decode_gauge(obj["base"], n_nodes, f"{path}.base")
+            base = sub("base")
             terms = []
             for i, term in enumerate(obj["terms"]):
                 _expect(term, ("delta", "subspace", "norm"), (),
@@ -254,21 +261,18 @@ def decode_gauge(obj, n_nodes: int, path="seminorm") -> Gauge:
         if kind in ("quotient_bar", "quotient_tilde"):
             _expect(obj, ("kind", "m", "subspace", "delta", "norm"), (), path)
             cls = QuotientBar if kind == "quotient_bar" else QuotientTilde
-            return cls(decode_gauge(obj["m"], n_nodes, f"{path}.m"),
+            return cls(sub("m"),
                        _floats(obj["subspace"], path),
                        _scalar(obj["delta"], f"{path}.delta"),
-                       decode_norm(obj["norm"], f"{path}.norm"))
+                       decode_norm(obj["norm"], f"{path}.norm"), oracle)
         if kind == "inf_conv":
             _expect(obj, ("kind", "m1", "m2", "subspace"), (), path)
-            return InfConv(decode_gauge(obj["m1"], n_nodes, f"{path}.m1"),
-                           decode_gauge(obj["m2"], n_nodes, f"{path}.m2"),
-                           _floats(obj["subspace"], path))
+            return InfConv(sub("m1"), sub("m2"),
+                           _floats(obj["subspace"], path), oracle)
         if kind == "piecewise_nodes":
             _expect(obj, ("kind", "mask", "inside", "outside"), (), path)
-            return PiecewiseNodes(
-                np.asarray(obj["mask"], dtype=bool),
-                decode_gauge(obj["inside"], n_nodes, f"{path}.inside"),
-                decode_gauge(obj["outside"], n_nodes, f"{path}.outside"))
+            return PiecewiseNodes(np.asarray(obj["mask"], dtype=bool),
+                                  sub("inside"), sub("outside"))
     except ValueError as exc:
         raise InputError(f"{path}: {exc}")
     raise InputError(f"{path}: unknown gauge kind {kind!r}")
@@ -313,16 +317,20 @@ def encode_extension_problem(problem: ExtensionProblem, order=None) -> dict:
     return out
 
 
-def decode_extension_problem(obj, path="extend"):
+def decode_extension_problem(obj, path="extend", tols=DEFAULT_TOLS,
+                             oracle=False):
+    """Extension problem with the given tolerances; ``oracle`` as in
+    :func:`decode_gauge`."""
     _expect(obj, ("grid", "space", "phi", "seminorm", "delta"), ("order",),
             path)
     grid = decode_grid(obj["grid"])
     model = decode_model(obj["space"], f"{path}.space")
-    gauge = decode_gauge(obj["seminorm"], grid.n, f"{path}.seminorm")
+    gauge = decode_gauge(obj["seminorm"], grid.n, f"{path}.seminorm", oracle)
     try:
         problem = ExtensionProblem(grid, model, gauge,
                                    _floats(obj["phi"], f"{path}.phi"),
-                                   _scalar(obj["delta"], f"{path}.delta"))
+                                   _scalar(obj["delta"], f"{path}.delta"),
+                                   tols)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}")
     return problem, obj.get("order")

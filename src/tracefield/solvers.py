@@ -12,6 +12,7 @@ import functools
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import coo_array
 
 _MULTISTART_SEED = 718281828
 
@@ -206,15 +207,14 @@ def minimize_batched(fun, sub, dim, n_nodes, radius, ball_norm=None,
 # ---------------------------------------------------------------------------
 # total-variation-minimal selection in a tube
 
-def _sweep_path(lo, hi, start=None):
+def _sweep(lo, hi, m, a, b, out=None):
     """Forward sweep of the flat-bottom value functions along a path.
 
-    Returns per-node triples (m, a, b): minimal accumulated variation m and
-    the flat argmin interval [a, b] within the node's tube.
+    Starts from the accumulated variation m and flat argmin interval [a, b]
+    before the first of the Python-list bounds ``lo``, ``hi``; appends each
+    node's triple (m, a, b) to ``out`` when given and returns the last one.
     """
-    m, a, b = (0.0, lo[0], hi[0]) if start is None else (0.0, start, start)
-    out = [(m, a, b)]
-    for lo_i, hi_i in zip(lo[1:].tolist(), hi[1:].tolist()):
+    for lo_i, hi_i in zip(lo, hi):
         if hi_i < a:
             m += a - hi_i
             a = b = hi_i
@@ -224,25 +224,35 @@ def _sweep_path(lo, hi, start=None):
         else:
             a = max(a, lo_i)
             b = min(b, hi_i)
-        out.append((m, a, b))
-    return np.array(out)
+        if out is not None:
+            out.append((m, a, b))
+    return m, a, b
+
+
+def _sweep_path(lo, hi, start=None):
+    """Per-node triples (m, a, b) of the forward sweep, as Python lists:
+    minimal accumulated variation m and the flat argmin interval [a, b]
+    within the node's tube."""
+    m, a, b = (0.0, lo[0], hi[0]) if start is None else (0.0, start, start)
+    out = [(m, a, b)]
+    _sweep(lo[1:], hi[1:], m, a, b, out)
+    return out
 
 
 def _backtrack_path(lo, hi, mid, sweep, f_last):
-    n = lo.shape[0]
-    f = np.zeros(n)
-    f[-1] = f_last
+    n = len(lo)
+    f = [0.0] * n
+    f[-1] = nxt = f_last
     for i in range(n - 2, -1, -1):
         _, a, b = sweep[i]
-        nxt = f[i + 1]
         if nxt >= b:
             p, q = b, min(hi[i], nxt)
         elif nxt <= a:
             p, q = max(lo[i], nxt), a
         else:
             p = q = nxt
-        f[i] = min(max(mid[i], p), q)
-    return f
+        f[i] = nxt = min(max(mid[i], p), q)
+    return np.array(f)
 
 
 def taut_string_path(lo, hi):
@@ -256,17 +266,11 @@ def taut_string_path(lo, hi):
     hi = np.asarray(hi, dtype=float)
     if np.any(lo > hi):
         raise SolverError("taut_string_path: empty tube (lo > hi somewhere)")
-    mid = 0.5 * (lo + hi)
+    lo, hi, mid = lo.tolist(), hi.tolist(), (0.5 * (lo + hi)).tolist()
     sweep = _sweep_path(lo, hi)
     _, a, b = sweep[-1]
     f_last = min(max(mid[-1], a), b)
     return _backtrack_path(lo, hi, mid, sweep, f_last)
-
-
-def _cycle_cost(lo, hi, v):
-    sweep = _sweep_path(lo, hi, start=v)
-    m, a, b = sweep[-1]
-    return m + max(0.0, a - v, v - b), sweep
 
 
 def _first(pred, i, j):
@@ -294,13 +298,16 @@ def taut_string_cycle(lo, hi):
     hi = np.asarray(hi, dtype=float)
     if np.any(lo > hi):
         raise SolverError("taut_string_cycle: empty tube")
-    mid = 0.5 * (lo + hi)
     cand = np.unique(np.clip(np.concatenate([lo, hi]), lo[0], hi[0]))
-    last = len(cand) - 1
+    cand, last = cand.tolist(), len(cand) - 1
+    lo, hi, mid = lo.tolist(), hi.tolist(), (0.5 * (lo + hi)).tolist()
+    lo_rest, hi_rest = lo[1:], hi[1:]
 
     @functools.cache
     def g(i):
-        return _cycle_cost(lo, hi, cand[i])[0]
+        v = cand[i]
+        m, a, b = _sweep(lo_rest, hi_rest, 0.0, v, v)
+        return m + max(0.0, a - v, v - b)
 
     k = _first(lambda i: i == last or g(i + 1) >= g(i), 0, last)
     best = g(k)
@@ -310,7 +317,7 @@ def taut_string_cycle(lo, hi):
                           k, last)]
     v0 = min(max(mid[0], flat_lo), flat_hi)
 
-    _, sweep = _cycle_cost(lo, hi, v0)
+    sweep = _sweep_path(lo, hi, start=v0)
     _, a, b = sweep[-1]
     # last node: argmin of accumulated cost plus the closing edge toward v0
     if v0 >= b:
@@ -337,30 +344,36 @@ def tube_tv_graph(lo, hi, edges):
         raise SolverError("tube_tv_graph: empty tube")
     mid = 0.5 * (lo + hi)
 
-    # variables: f (n), t (m) with t_e >= |f_i - f_j|
+    # variables: f (n), t (m) with t_e >= |f_i - f_j|; rows 2e and 2e + 1
+    # hold +-(f_i - f_j) - t_e <= 0
+    e = np.arange(m)
+    rows = np.repeat(np.arange(2 * m), 3)
+    cols = np.repeat(np.column_stack([edges, n + e]), 2, axis=0).ravel()
+    vals = np.tile([1.0, -1.0, -1.0, -1.0, 1.0, -1.0], m)
     c = np.concatenate([np.zeros(n), np.ones(m)])
-    A = np.zeros((2 * m, n + m))
-    for e, (i, j) in enumerate(edges):
-        A[2 * e, i], A[2 * e, j], A[2 * e, n + e] = 1.0, -1.0, -1.0
-        A[2 * e + 1, i], A[2 * e + 1, j], A[2 * e + 1, n + e] = -1.0, 1.0, -1.0
-    b = np.zeros(2 * m)
-    bounds = [(lo[i], hi[i]) for i in range(n)] + [(0, None)] * m
-    res = lp_solve(c, A_ub=A, b_ub=b, bounds=bounds, context="tube TV LP")
+    A = coo_array((vals, (rows, cols)), shape=(2 * m, n + m))
+    bounds = np.vstack([np.column_stack([lo, hi]),
+                        np.tile([0.0, np.inf], (m, 1))])
+    res = lp_solve(c, A_ub=A, b_ub=np.zeros(2 * m), bounds=bounds,
+                   context="tube TV LP")
     tv_opt = float(res.fun)
 
-    # stage 2: among TV-near-optimal selections, closest (l1) to the midpoint
+    # stage 2: among TV-near-optimal selections, closest (l1) to the
+    # midpoint; rows 2m + 2i and 2m + 2i + 1 hold +-f_i - d_i <= +-mid_i,
+    # the last row caps the total variation
+    nodes = np.arange(n)
+    rows2 = np.concatenate([rows, 2 * m + np.repeat(np.arange(2 * n), 2),
+                            np.full(m, 2 * m + 2 * n)])
+    cols2 = np.concatenate([cols, np.repeat(np.column_stack(
+        [nodes, n + m + nodes]), 2, axis=0).ravel(), n + e])
+    vals2 = np.concatenate([vals, np.tile([1.0, -1.0, -1.0, -1.0], n),
+                            np.ones(m)])
+    A2 = coo_array((vals2, (rows2, cols2)),
+                   shape=(2 * m + 2 * n + 1, n + m + n))
+    b2 = np.concatenate([np.zeros(2 * m), np.column_stack([mid, -mid]).ravel(),
+                         [tv_opt + 1e-9 * (1.0 + abs(tv_opt))]])
     c2 = np.concatenate([np.zeros(n + m), np.ones(n)])
-    A2 = np.zeros((2 * m + 2 * n + 1, n + m + n))
-    A2[:2 * m, :n + m] = A
-    b2 = np.zeros(2 * m + 2 * n + 1)
-    for i in range(n):
-        A2[2 * m + 2 * i, i], A2[2 * m + 2 * i, n + m + i] = 1.0, -1.0
-        b2[2 * m + 2 * i] = mid[i]
-        A2[2 * m + 2 * i + 1, i], A2[2 * m + 2 * i + 1, n + m + i] = -1.0, -1.0
-        b2[2 * m + 2 * i + 1] = -mid[i]
-    A2[-1, n:n + m] = 1.0
-    b2[-1] = tv_opt + 1e-9 * (1.0 + abs(tv_opt))
-    bounds2 = bounds + [(0, None)] * n
+    bounds2 = np.vstack([bounds, np.tile([0.0, np.inf], (n, 1))])
     res2 = lp_solve(c2, A_ub=A2, b_ub=b2, bounds=bounds2,
                     context="tube TV tie-break LP")
     return np.clip(res2.x[:n], lo, hi), tv_opt

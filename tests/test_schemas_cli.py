@@ -69,6 +69,24 @@ class TestRoundTrips:
         assert np.allclose(again.phi, problem.phi)
         assert np.allclose(again.model.subspace, problem.model.subspace)
 
+    def test_oracle_reaches_nested_quotient(self):
+        n = 4
+        inner = QuotientBar(ScaledNorm(1.0, n, 3), np.eye(3)[2:], 0.2,
+                            BaseNorm(2.0))
+        conv = InfConv(ScaledNorm(1.0, n, 3), inner, np.eye(3)[:1])
+        obj = encode_gauge(SumGauge([ScaledNorm(1.0, n, 3), inner, conv]))
+        for oracle in (False, True):
+            g = decode_gauge(obj, n, oracle=oracle)
+            assert g.parts[1].core.oracle is oracle
+            assert g.parts[2].oracle is oracle
+            assert g.parts[2].m2.core.oracle is oracle
+        problem = extension_instance(1, n_nodes=8, dim=3, dim_y=1,
+                                     delta=0.1, margin=0.5)
+        payload = encode_extension_problem(problem)
+        tols = problem.tols.override(solver=1e-5)
+        again, _ = decode_extension_problem(payload, tols=tols)
+        assert again.tols == tols
+
     def test_instance_wrapper(self):
         inst = encode_instance("decompose", {"map": {}})
         kind, payload = decode_instance(inst)
@@ -325,6 +343,31 @@ class TestCLI:
         csv_lines = (out / "envelopes.csv").read_text().splitlines()
         assert csv_lines[0] == "stage,node,upper,lower,gap,defect"
         assert len(csv_lines) == 1 + 2 * g.n
+
+    def test_envelope_infeasible_stage_names_node(self, tmp_path, capsys):
+        # on 12 sampled states of M2 the last family needs a weight norm
+        # 2.26 above ||phi(4)|| at node 4, and at most 2.05 above elsewhere
+        from tracefield.algebra import random_selfadjoint
+        from tracefield.schemas import encode_element
+        phi = smooth_map_field([2], path_grid(8), seed=3, scale=0.5)
+        unit, y1, y2 = (M2.unit(), random_selfadjoint(M2, 1),
+                        random_selfadjoint(M2, 2))
+        enc = encode_element
+        payload = {
+            "map": encode_map_field(phi),
+            "chain": [[enc(unit)], [enc(unit), enc(y1)],
+                      [enc(unit), enc(y1), enc(y2)]],
+            "delta_seq": [3.0, 2.5, 2.1],
+            "x": enc(random_selfadjoint(M2, 3)),
+            "states": {"count": 12, "seed": 0},
+        }
+        path = write_instance(tmp_path, "env.json",
+                              encode_instance("envelope", payload))
+        assert main(["envelope", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "stage 2 node 4: envelope LP infeasible: constraints need " \
+            "weight norm >= " in err
+        assert "but the cap is" in err and "Traceback" not in err
 
     def test_verify_extend_target(self, tmp_path):
         problem = extension_instance(6, n_nodes=10, dim=3, dim_y=1,

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from tracefield.solvers import (SolverError, intersect_rowspaces,
                                 minimize_batched, nullspace_rows,
                                 orthonormal_rows, taut_string_cycle,
                                 taut_string_path, total_variation,
                                 tube_tv_graph)
+
+from tracefield.grids import Grid
 
 from oracles import cycle_flat_bottom, tube_tv_lp
 
@@ -100,6 +103,135 @@ class TestTubeGraphLP:
         f, tv = tube_tv_graph(lo, hi, edges)
         assert tv == pytest.approx(tube_tv_lp(lo, hi, edges), abs=1e-8)
         assert total_variation(f, edges) <= tv + 1e-8 + 1e-9 * abs(tv)
+
+
+# ---------------------------------------------------------------------------
+# references: the selections with numpy-indexed sweeps and a dense LP build
+
+def _ref_sweep(lo, hi, start=None):
+    m, a, b = (0.0, lo[0], hi[0]) if start is None else (0.0, start, start)
+    out = [(m, a, b)]
+    for i in range(1, lo.shape[0]):
+        if hi[i] < a:
+            m, a, b = m + (a - hi[i]), hi[i], hi[i]
+        elif lo[i] > b:
+            m, a, b = m + (lo[i] - b), lo[i], lo[i]
+        else:
+            a, b = max(a, lo[i]), min(b, hi[i])
+        out.append((m, a, b))
+    return np.array(out)
+
+
+def _ref_backtrack(lo, hi, mid, sweep, f_last):
+    f = np.zeros(lo.shape[0])
+    f[-1] = f_last
+    for i in range(lo.shape[0] - 2, -1, -1):
+        _, a, b = sweep[i]
+        nxt = f[i + 1]
+        if nxt >= b:
+            p, q = b, min(hi[i], nxt)
+        elif nxt <= a:
+            p, q = max(lo[i], nxt), a
+        else:
+            p = q = nxt
+        f[i] = min(max(mid[i], p), q)
+    return f
+
+
+def reference_path(lo, hi):
+    mid = 0.5 * (lo + hi)
+    sweep = _ref_sweep(lo, hi)
+    _, a, b = sweep[-1]
+    return _ref_backtrack(lo, hi, mid, sweep, min(max(mid[-1], a), b))
+
+
+def reference_cycle(lo, hi):
+    """Scan of every clipped tube bound (see ``cycle_flat_bottom``), then the
+    same midpoint clip and closing-edge backtrack as the solver."""
+    mid = 0.5 * (lo + hi)
+    _, flat_lo, flat_hi = cycle_flat_bottom(lo, hi)
+    v0 = min(max(mid[0], flat_lo), flat_hi)
+    sweep = _ref_sweep(lo, hi, start=v0)
+    _, a, b = sweep[-1]
+    if v0 >= b:
+        p, q = b, min(hi[-1], v0)
+    elif v0 <= a:
+        p, q = max(lo[-1], v0), a
+    else:
+        p = q = v0
+    f = _ref_backtrack(lo, hi, mid, sweep, min(max(mid[-1], p), q))
+    f[0] = v0
+    return f
+
+
+def reference_tube_tv_graph(lo, hi, edges):
+    """Both LP stages with dense constraint matrices filled in loops."""
+    n = lo.shape[0]
+    edges = np.asarray(edges, dtype=int).reshape(-1, 2)
+    m = edges.shape[0]
+    mid = 0.5 * (lo + hi)
+    c = np.concatenate([np.zeros(n), np.ones(m)])
+    A = np.zeros((2 * m, n + m))
+    for e, (i, j) in enumerate(edges):
+        A[2 * e, i], A[2 * e, j], A[2 * e, n + e] = 1.0, -1.0, -1.0
+        A[2 * e + 1, i], A[2 * e + 1, j], A[2 * e + 1, n + e] = -1.0, 1.0, -1.0
+    bounds = [(lo[i], hi[i]) for i in range(n)] + [(0, None)] * m
+    res = linprog(c, A_ub=A, b_ub=np.zeros(2 * m), bounds=bounds,
+                  method="highs")
+    tv_opt = float(res.fun)
+    c2 = np.concatenate([np.zeros(n + m), np.ones(n)])
+    A2 = np.zeros((2 * m + 2 * n + 1, n + m + n))
+    A2[:2 * m, :n + m] = A
+    b2 = np.zeros(2 * m + 2 * n + 1)
+    for i in range(n):
+        A2[2 * m + 2 * i, i], A2[2 * m + 2 * i, n + m + i] = 1.0, -1.0
+        b2[2 * m + 2 * i] = mid[i]
+        A2[2 * m + 2 * i + 1, i], A2[2 * m + 2 * i + 1, n + m + i] = -1.0, -1.0
+        b2[2 * m + 2 * i + 1] = -mid[i]
+    A2[-1, n:n + m] = 1.0
+    b2[-1] = tv_opt + 1e-9 * (1.0 + abs(tv_opt))
+    res2 = linprog(c2, A_ub=A2, b_ub=b2, bounds=bounds + [(0, None)] * n,
+                   method="highs")
+    return np.clip(res2.x[:n], lo, hi), tv_opt
+
+
+def _tubes():
+    for seed in range(40):
+        n = [1, 2, 3, 17, 60, 250][seed % 6]
+        lo, hi = random_tube(seed, n, drift=[0.05, 0.3, 1.0][seed % 3])
+        if seed % 4 == 1:
+            hi[::3] = lo[::3]                 # pinned nodes
+        if seed % 5 == 2:
+            lo, hi = np.round(lo, 1), np.round(hi, 1) + 0.1   # ties
+        yield lo, hi
+
+
+class TestSelectionReferences:
+    def test_path_bitwise_equal_to_reference(self):
+        for lo, hi in _tubes():
+            assert taut_string_path(lo, hi).tobytes() \
+                == reference_path(lo, hi).tobytes()
+
+    def test_cycle_bitwise_equal_to_reference(self):
+        for lo, hi in _tubes():
+            assert taut_string_cycle(lo, hi).tobytes() \
+                == reference_cycle(lo, hi).tobytes()
+
+    def test_graph_lp_bitwise_equal_to_dense_build(self):
+        # a 6 x 5 grid graph with unit edges
+        side_x, side_y = 6, 5
+        idx = np.arange(side_x * side_y).reshape(side_y, side_x)
+        edges = np.concatenate([
+            np.column_stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()]),
+            np.column_stack([idx[:-1].ravel(), idx[1:].ravel()])])
+        grid = Grid("graph", idx.size, edges, np.ones(len(edges)))
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            lo = rng.standard_normal(grid.n)
+            hi = lo + rng.uniform(0.0, 1.5, grid.n)
+            f, tv = tube_tv_graph(lo, hi, grid.edges)
+            f_ref, tv_ref = reference_tube_tv_graph(lo, hi, grid.edges)
+            assert f.tobytes() == f_ref.tobytes() and tv == tv_ref
 
 
 class TestMinimizeBatched:

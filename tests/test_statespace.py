@@ -4,7 +4,9 @@ import pytest
 from tracefield.algebra import (AlgebraDescriptor, Element, op_norm,
                                 random_selfadjoint)
 from tracefield.errors import InputError
-from tracefield.fields import evaluate
+from tracefield import statespace
+from tracefield.fields import (MapField, constant_map_field, evaluate,
+                               pointwise_norm)
 from tracefield.generate import smooth_map_field
 from tracefield.grids import path_grid
 from tracefield.solvers import SolverError
@@ -193,6 +195,146 @@ class TestEnvelopeField:
         _, fine = epsilon_semicontinuity_report(env_fine.upper, fine_grid,
                                                 "upper")
         assert fine <= 0.75 * coarse + 1e-9
+
+
+def _family(alg, size, seed):
+    return [alg.unit()] + [random_selfadjoint(alg, 1000 * seed + j)
+                           for j in range(size - 1)]
+
+
+def _lp_reference(phi, fam, x, sample, bounds):
+    """Per-node LP envelopes: (upper, lower, saturated upper, lower)."""
+    rep = represent_family(fam, sample)
+    x_hat = kadison_represent(x, sample)
+    targets = np.stack([evaluate(phi, y) for y in fam], axis=1)
+    out = []
+    for t in range(phi.grid.n):
+        hi = lp_envelope(rep.values, targets[t], x_hat, bounds[t], "max")
+        lo = lp_envelope(rep.values, targets[t], x_hat, bounds[t], "min")
+        out.append((hi.value, lo.value, hi.saturated, lo.saturated))
+    return [np.array(col) for col in zip(*out)]
+
+
+class TestHullEnvelopes:
+    """The one-hull-per-stage envelopes against a per-node LP loop."""
+
+    def check(self, phi, fam, x, delta, sample, monkeypatch):
+        calls = []
+        lp = statespace.lp_envelope
+        monkeypatch.setattr(statespace, "lp_envelope",
+                            lambda *a: calls.append(1) or lp(*a))
+        env = envelope_field(phi, fam, x, delta, sample)
+        monkeypatch.undo()
+        upper, lower, sat_u, sat_l = _lp_reference(phi, fam, x, sample,
+                                                   env.bounds)
+        assert np.max(np.abs(env.upper - upper)) <= 1e-11
+        assert np.max(np.abs(env.lower - lower)) <= 1e-11
+        # where the objective is pinned every feasible weight is optimal, so
+        # the LP's norm (and its saturation flag) is the solver's choice
+        free = upper - lower > 1e-9
+        assert np.array_equal(env.saturated_upper[free], sat_u[free])
+        assert np.array_equal(env.saturated_lower[free], sat_l[free])
+        return env, len(calls)
+
+    @pytest.mark.parametrize("blocks, size, states, delta", [
+        ((1, 2), 1, 6, 0.3), ((1, 2), 2, 60, 0.2), ((1, 2), 3, 250, 0.1),
+        ((2,), 1, 250, 0.3), ((2,), 2, 150, 0.2), ((2,), 3, 30, 0.3),
+        ((1, 1, 1), 1, 9, 0.3), ((1, 1, 1), 2, 9, 0.2),
+        ((1, 1, 1), 3, 20, 0.1)])
+    def test_matches_lp(self, blocks, size, states, delta, monkeypatch):
+        alg = AlgebraDescriptor(blocks)
+        phi = smooth_map_field(list(blocks), path_grid(9), seed=size,
+                               scale=0.5)
+        sample = sample_state_space(alg, states, seed=states)
+        x = random_selfadjoint(alg, 77)
+        _, calls = self.check(phi, _family(alg, size, 5), x, delta, sample,
+                              monkeypatch)
+        assert calls == 0
+
+    def test_pinned_member(self, monkeypatch):
+        phi = smooth_map_field([2], path_grid(9), seed=3, scale=0.5)
+        sample = sample_state_space(M2, 100, seed=1)
+        fam = _family(M2, 3, 2)
+        env, _ = self.check(phi, fam, fam[2], 0.3, sample, monkeypatch)
+        assert np.max(np.abs(env.upper - evaluate(phi, fam[2]))) <= 1e-12
+
+    def test_zero_slack_commutative_and_zero_cap(self, monkeypatch):
+        # duplicate vertex states; the family spans C2, so every node's
+        # least weight norm equals its cap, and nodes 2 and 5 have cap 0
+        phi = smooth_map_field([1, 1], path_grid(7), seed=4, scale=0.7)
+        stacks = [s.copy() for s in phi.stacks]
+        for s in stacks:
+            s[[2, 5]] = 0.0
+        phi = MapField(phi.grid, C2, stacks)
+        x = Element(C2, [[[1.0]], [[-1.0]]], selfadjoint=True)
+        other = Element(C2, [[[0.4]], [[1.1]]], selfadjoint=True)
+        env, _ = self.check(phi, [C2.unit(), x], other, 0.0,
+                            sample_state_space(C2, 6, seed=0), monkeypatch)
+        assert env.bounds[2] == env.bounds[5] == 0.0
+        assert env.upper[2] == env.lower[5] == 0.0
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-8, 1e-6])
+    def test_thin_hull(self, eps):
+        # x = y + eps n with y in the family: K is a slab of width ~eps, and
+        # the envelope is phi(y) + eps times the envelope of n, which the LP
+        # gives to ~1e-15 (the LP on x itself is off by up to 5e-8 here)
+        phi = smooth_map_field([2], path_grid(10), seed=3, scale=0.5)
+        sample = sample_state_space(M2, 80, seed=0)
+        fam = _family(M2, 2, 1)
+        noise = random_selfadjoint(M2, 5)
+        x = Element(M2, [fam[1].blocks[0] + eps * noise.blocks[0]],
+                    selfadjoint=True)
+        env = envelope_field(phi, fam, x, 0.5, sample)
+        upper, lower, _, _ = _lp_reference(phi, fam, noise, sample,
+                                           env.bounds)
+        y = evaluate(phi, fam[1])
+        assert np.max(np.abs(env.upper - (y + eps * upper))) <= 1e-14
+        assert np.max(np.abs(env.lower - (y + eps * lower))) <= 1e-14
+
+    def test_zero_cap_needs_zero_targets(self):
+        # ||phi(t)|| = 0.75 exactly, so delta = -0.75 leaves cap 0 while
+        # phi(unit) = 0.25: no weight vector, as for the LP
+        from tracefield.algebra import FunctionalRep
+        phi = constant_map_field(path_grid(3), FunctionalRep(
+            C2, [np.array([[0.5]]), np.array([[-0.25]])]))
+        sample = sample_state_space(C2, 6, seed=0)
+        x = Element(C2, [[[1.0]], [[-1.0]]], selfadjoint=True)
+        with pytest.raises(SolverError) as err:
+            envelope_field(phi, [C2.unit()], x, -0.75, sample)
+        assert str(err.value).startswith("node 0: envelope LP infeasible")
+        with pytest.raises(SolverError):
+            lp_envelope(represent_family([C2.unit()], sample).values,
+                        [0.25], kadison_represent(x, sample), 0.0)
+
+    def test_rank_six_takes_lp_path(self, monkeypatch):
+        alg = AlgebraDescriptor((2, 2))
+        phi = smooth_map_field([2, 2], path_grid(4), seed=2, scale=0.5)
+        _, calls = self.check(phi, _family(alg, 5, 3),
+                              random_selfadjoint(alg, 9), 0.5,
+                              sample_state_space(alg, 40, seed=2),
+                              monkeypatch)
+        assert calls == 2 * 4
+
+    @pytest.mark.parametrize("blocks", [(2,), (2, 2)])
+    def test_infeasible_node_named(self, blocks):
+        # hull and LP paths: the first node whose least weight norm on the
+        # sample exceeds its cap
+        alg = AlgebraDescriptor(blocks)
+        phi = smooth_map_field(list(blocks), path_grid(5), seed=1, scale=0.5)
+        fam = _family(alg, 3 if blocks == (2,) else 5, 4)
+        sample = sample_state_space(alg, 6 if blocks == (2,) else 40, seed=0)
+        rep = represent_family(fam, sample)
+        targets = np.stack([evaluate(phi, y) for y in fam], axis=1)
+        need = np.array([np.sum(np.abs(min_norm_measure(rep.values, row)))
+                         for row in targets])
+        excess = need - pointwise_norm(phi)
+        delta = 0.5 * (np.min(excess) + np.max(excess))
+        t = int(np.argmax(excess > delta))
+        with pytest.raises(SolverError) as err:
+            envelope_field(phi, fam, random_selfadjoint(alg, 8), delta,
+                           sample)
+        assert str(err.value).startswith(f"node {t}: envelope LP infeasible")
+        assert f"need weight norm >= {need[t]:.6g}" in str(err.value)
 
 
 class TestMinNormMeasure:
