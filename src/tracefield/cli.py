@@ -29,7 +29,7 @@ from .reports import write_csv, write_json
 from .schemas import (decode_element, decode_extension_problem,
                       decode_instance, decode_map_field,
                       encode_extension_problem, encode_instance,
-                      encode_map_field, _expect)
+                      encode_map_field, _expect, _floats, _integer)
 from .solvers import SolverError
 from .statespace import envelope_field, sample_state_space
 
@@ -139,6 +139,8 @@ def _cmd_extend(args, tols):
             "radius": s.radius,
             "margin": s.margin,
             "envelope_gap_min": s.gap_min,
+            "envelope_dual_gap_max": (s.gap_max if np.isfinite(s.gap_max)
+                                      else None),
             "domination_excess": s.domination_excess,
         } for s in result.steps],
     }
@@ -162,20 +164,27 @@ def _cmd_envelope(args, tols):
     chain = [[decode_element(e, f"envelope.chain[{i}][{j}]")
               for j, e in enumerate(fam)]
              for i, fam in enumerate(payload["chain"])]
-    delta_seq = [float(d) for d in payload["delta_seq"]]
-    if len(delta_seq) != len(chain):
-        raise InputError("envelope: chain and delta_seq lengths differ")
+    delta_seq = _floats(payload["delta_seq"], "envelope.delta_seq")
+    if delta_seq.ndim != 1 or len(delta_seq) != len(chain):
+        raise InputError("envelope.delta_seq: need one number per chain "
+                         "family")
+    if np.any(delta_seq < 0):
+        i = int(np.argmax(delta_seq < 0))
+        raise InputError(f"envelope.delta_seq[{i}]: negative slack "
+                         f"{delta_seq[i]}")
     states_spec = _expect(payload["states"], ("count", "seed"), (),
                           "envelope.states")
-    seed = args.seed if args.seed is not None else int(states_spec["seed"])
-    sample = sample_state_space(phi.algebra, int(states_spec["count"]), seed)
+    count = _integer(states_spec["count"], "envelope.states.count", 1)
+    seed = args.seed if args.seed is not None \
+        else _integer(states_spec["seed"], "envelope.states.seed", 0)
+    sample = sample_state_space(phi.algebra, count, seed)
 
     report = _base_report("envelope", args.instance, tols, seed)
     rows = []
     stages = []
     prev_upper = None
     monotone = True
-    for i, (fam, d_n) in enumerate(zip(chain, delta_seq)):
+    for i, (fam, d_n) in enumerate(zip(chain, delta_seq.tolist())):
         try:
             env = envelope_field(phi, fam, x, d_n, sample)
         except SolverError as exc:

@@ -14,14 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .config import Tolerances, DEFAULT_TOLS
 from .errors import CoercivityError, EnvelopeError, InputError
 from .grids import Grid
-from .seminorms import (AugmentedGauge, Gauge, MaxAbsLinear,
-                        SubspaceDistance, VectorSpaceModel)
-from .solvers import (minimize_batched, orthonormal_rows, taut_string_cycle,
-                      taut_string_path, tube_tv_graph)
+from .seminorms import (AugmentedGauge, Gauge, SubspaceDistance,
+                        VectorSpaceModel)
+from .solvers import (NormTerm, minimize_batched, minimize_norm_sum,
+                      orthonormal_rows, taut_string_cycle, taut_string_path,
+                      tube_tv_graph)
 
 _SPHERE_SEED = 577215664
 _CERT_SEED = 141421356
@@ -163,6 +165,7 @@ class EnvelopePair:
     lower: np.ndarray   # u: greatest admissible lower bound per node
     upper: np.ndarray   # l: least admissible upper bound per node
     radius: float
+    gap: np.ndarray     # certified duality gap per node (inf: none)
 
     @property
     def gap_min(self) -> float:
@@ -170,17 +173,21 @@ class EnvelopePair:
 
 
 def envelopes(problem: ExtensionProblem, x, gauge: Gauge = None,
-              radius: float = None, n_starts: int = 8,
-              n_iter: int = 500) -> EnvelopePair:
+              radius: float = None) -> EnvelopePair:
     """Admissible value tube for the extension at a new direction.
 
     Per node, the lower envelope is the supremum of ``phi(y) - m(y - x)``
     and the upper envelope the infimum of ``-phi(y) + m(y + x)`` over the
-    radius ball of the subspace.  Both reduce to one convex minimization
-    family solved by multistart projected subgradient descent with a
-    deterministic pattern polish, batched over nodes; purely polyhedral
-    gauges additionally get an exact per-node linear-programming finish.
-    Raises :class:`EnvelopeError` when the tube comes out crossed.
+    radius ball of the subspace.  For gauges with closed-form norm terms
+    both signs of every node go to one call of
+    :func:`~tracefield.solvers.minimize_norm_sum`, which returns each value
+    with a dual lower bound: the true envelope lies between the reported
+    one and the reported one moved by ``gap`` into the tube.  The
+    inf-type gauges (quotient, inf-convolution) have no such terms and go
+    through the pattern search of
+    :func:`~tracefield.solvers.minimize_batched`; their values are
+    uncertified (``gap`` is inf).  Raises :class:`EnvelopeError` when the
+    tube comes out crossed.
     """
     x = np.asarray(x, dtype=float)
     model, grid = problem.model, problem.grid
@@ -192,43 +199,86 @@ def envelopes(problem: ExtensionProblem, x, gauge: Gauge = None,
 
     if k_y == 0 or radius == 0.0:
         vals = gauge.values(np.broadcast_to(x, (n, model.dim)))
-        pair = EnvelopePair(-vals, vals, 0.0)
+        pair = EnvelopePair(-vals, vals, 0.0, np.zeros(n))
     else:
-        b = model.subspace
-
-        def solve(sign):
-            def fun(coeffs):
-                y_amb = coeffs @ b
-                return (gauge.values(y_amb + x)
-                        + sign * problem.phi_values(coeffs))
-
-            sub = None
-            if gauge.has_subgrad:
-                def sub(coeffs):
-                    y_amb = coeffs @ b
-                    g = gauge.subgrad(y_amb + x) @ b.T
-                    return g + sign * problem.phi
-
-            hint = np.linalg.lstsq(b.T, x, rcond=None)[0]
-            _, vals = minimize_batched(
-                fun, sub, k_y, n, radius,
-                ball_norm=lambda c: model.norm.value(c @ b),
-                hint=hint, n_starts=n_starts, n_iter=n_iter)
-            if isinstance(gauge, MaxAbsLinear):
-                # pattern search can stall in polyhedral valleys; the exact
-                # minimum is a small linear program per node
-                vals = np.minimum(vals, _polyhedral_envelope(problem, x,
-                                                             gauge, sign))
-            return vals
-
-        upper = solve(-1.0)          # inf of m(y + x) - phi(y)
-        lower = -solve(+1.0)         # sup of phi(y) - m(y - x)
-        pair = EnvelopePair(lower, upper, radius)
+        terms = gauge.norm_terms()
+        if terms is None:
+            pair = _pattern_envelopes(problem, x, gauge, radius)
+        else:
+            pair = _conic_envelopes(problem, x, terms, radius)
 
     if pair.gap_min < -problem.tols.solver:
         raise EnvelopeError(
             f"inconsistent instance: envelope tube crossed by {-pair.gap_min:.3e}")
     return pair
+
+
+def _conic_envelopes(problem, x, terms, radius):
+    """Both envelope signs of every node as one sum-of-norms batch.
+
+    The variables are the subspace coordinates c followed by each term's
+    free coordinates y.  The search ball becomes one Euclidean ball over all
+    of them that contains the model-norm ball of c times, per term, a ball
+    that holds a minimizing y for every such c; it contains the minimizer,
+    so the minimum is unchanged.
+    """
+    model, n = problem.model, problem.grid.n
+    b, dim = model.subspace, model.dim
+    k_y = b.shape[0]
+    w = np.ones(dim) if model.norm.weights is None else model.norm.weights
+    kappa = np.sqrt(dim) if model.norm.p == float("inf") else 1.0
+    balls = [(w[:, None] * b.T) / (kappa * radius)]
+    z_max = np.linalg.norm(x) + kappa * radius / np.min(w)
+
+    k = k_y + sum(t.Y.shape[-1] for t in terms if t.Y is not None)
+    nterms = []
+    for t in terms:
+        P = np.asarray(t.P, dtype=float)
+        A = np.zeros(P.shape[:-1] + (k,))
+        A[..., :k_y] = P @ b.T
+        if t.Y is not None:
+            # a minimizing y has N(Pz + Yy) <= N(Pz), so |Pz + Yy| is at
+            # most sqrt(rows) |Pz| and |y| <= |Y⁺| (sqrt(rows) + 1) |P| |z|
+            col = sum(m.shape[1] for m in balls)
+            r = t.Y.shape[-1]
+            A[..., col:col + r] = t.Y
+            flat = t.Y.reshape(-1, r)
+            y_max = (np.sqrt(flat.shape[0]) + 1.0) * z_max \
+                * np.linalg.norm(P.reshape(-1, dim), 2) \
+                / np.linalg.svd(flat, compute_uv=False)[-1]
+            balls.append(np.eye(r) / y_max)
+        b_x = P @ x
+        if P.shape[0] > 1:
+            A, b_x = np.concatenate([A, A]), np.concatenate([b_x, b_x])
+        nterms.append(NormTerm(np.concatenate([t.weight, t.weight]), A, b_x,
+                               t.maxabs))
+    g = np.zeros((2 * n, k))
+    g[:n, :k_y] = -problem.phi
+    g[n:, :k_y] = problem.phi
+    _, value, lower = minimize_norm_sum(nterms, g, block_diag(*balls),
+                                        np.sqrt(len(balls)))
+    gap = value - lower
+    return EnvelopePair(-value[n:], value[:n], radius,
+                        np.maximum(gap[:n], gap[n:]))
+
+
+def _pattern_envelopes(problem, x, gauge, radius):
+    """Envelopes of an inf-type gauge by pattern search (uncertified)."""
+    model, n = problem.model, problem.grid.n
+    b = model.subspace
+
+    def solve(sign):
+        def fun(coeffs):
+            return (gauge.values(coeffs @ b + x)
+                    + sign * problem.phi_values(coeffs))
+
+        _, vals = minimize_batched(
+            fun, b.shape[0], n_nodes=n, radius=radius,
+            ball_norm=lambda c: model.norm.value(c @ b))
+        return vals
+
+    return EnvelopePair(-solve(+1.0), solve(-1.0), radius,
+                        np.full(n, np.inf))
 
 
 def envelope_lower(problem: ExtensionProblem, x, **kwargs) -> np.ndarray:
@@ -241,32 +291,6 @@ def envelope_upper(problem: ExtensionProblem, x, **kwargs) -> np.ndarray:
     """Field of least admissible values at the new direction (the nodewise
     infimum of ``-phi(y) + m(y + x)``)."""
     return envelopes(problem, x, **kwargs).upper
-
-
-def _polyhedral_envelope(problem, x, gauge, sign):
-    """Exact envelope objective minimum for a max-abs-linear gauge."""
-    from .solvers import SolverError, lp_solve
-
-    b = problem.model.subspace
-    a = gauge.functionals
-    ab = a @ b.T                      # (K, kY)
-    ax = a @ x                        # (K,)
-    n_c, k_y = ab.shape
-    a_ub = np.block([[ab, -np.ones((n_c, 1))], [-ab, -np.ones((n_c, 1))]])
-    b_ub = np.concatenate([-ax, ax])
-    out = np.zeros(problem.grid.n)
-    bounds = [(None, None)] * k_y + [(0, None)]
-    for t in range(problem.grid.n):
-        c_obj = np.concatenate([sign * problem.phi[t],
-                                [float(gauge.scale[t])]])
-        try:
-            res = lp_solve(c_obj, A_ub=a_ub, b_ub=b_ub, bounds=bounds,
-                           context="polyhedral envelope LP")
-        except SolverError as exc:
-            raise CoercivityError(
-                f"envelope objective unbounded at node {t}: {exc}")
-        out[t] = float(res.fun)
-    return out
 
 
 def select_continuous(lower, upper, grid: Grid, tols: Tolerances = DEFAULT_TOLS):
@@ -334,6 +358,7 @@ class StepCertificate:
     radius: float
     margin: float
     gap_min: float
+    gap_max: float
     selection: np.ndarray
     domination_excess: float
 
@@ -383,8 +408,10 @@ def extend_one(problem: ExtensionProblem, x, gauge: Gauge = None,
 
     Returns ``(new_problem, certificate)`` where the new problem's subspace
     is Y + span(x) and ``certificate.selection`` is the chosen value field
-    for x.  The selection is taken from the tube shrunk by a small guard so
-    that solver error cannot push it outside the true admissible interval.
+    for x.  The selection is taken from the tube shrunk at each end by the
+    certified envelope gap, at least ``tols.select_guard`` and at most a
+    quarter of the width, so that solver error cannot push it outside the
+    true admissible interval.
     """
     x = np.asarray(x, dtype=float)
     model = problem.model
@@ -399,7 +426,8 @@ def extend_one(problem: ExtensionProblem, x, gauge: Gauge = None,
     cert_r = radius_bound(problem, x, gauge)
     pair = envelopes(problem, x, gauge, cert_r.radius)
     width = pair.upper - pair.lower
-    guard = np.minimum(problem.tols.select_guard, np.maximum(width, 0) / 4)
+    guard = np.minimum(np.maximum(pair.gap, problem.tols.select_guard),
+                       np.maximum(width, 0) / 4)
     lo = pair.lower + guard
     hi = np.maximum(pair.upper - guard, lo)   # solver noise can cross the tube
     f = select_continuous(lo, hi, problem.grid, problem.tols)
@@ -417,8 +445,8 @@ def extend_one(problem: ExtensionProblem, x, gauge: Gauge = None,
     excess = _sampled_excess(gauge, coeffs @ new_sub, coeffs @ new_phi.T)
     cert = StepCertificate(direction_index,
                            problem.delta if budget is None else budget,
-                           cert_r.radius, cert_r.margin, pair.gap_min, f,
-                           excess)
+                           cert_r.radius, cert_r.margin, pair.gap_min,
+                           float(np.max(pair.gap)), f, excess)
     return new_problem, cert
 
 

@@ -67,22 +67,24 @@ def encode_grid(grid: Grid) -> dict:
     return out
 
 
-def decode_grid(obj) -> Grid:
+def decode_grid(obj, path="grid") -> Grid:
     _expect(obj, ("kind", "nodes", "edges", "infinity"), ("positions",),
-            "grid")
+            path)
     edges = obj["edges"]
-    if not isinstance(edges, list) or any(len(e) != 3 for e in edges):
-        raise InputError("grid.edges: expected [i, j, length] triples")
-    pairs = [(e[0], e[1]) for e in edges]
-    lengths = [e[2] for e in edges]
+    if not isinstance(edges, list) \
+            or any(not isinstance(e, list) or len(e) != 3 for e in edges):
+        raise InputError(f"{path}.edges: expected [i, j, length] triples")
+    edges = _floats(edges, f"{path}.edges").reshape(-1, 3)
+    pairs = _indices(edges[:, :2], f"{path}.edges")
     positions = obj.get("positions")
     if positions is not None:
-        positions = _floats(positions, "grid.positions")
+        positions = _floats(positions, f"{path}.positions")
     try:
-        return Grid(obj["kind"], obj["nodes"], pairs, lengths,
-                    obj["infinity"], positions)
+        return Grid(obj["kind"], _integer(obj["nodes"], f"{path}.nodes"),
+                    pairs, edges[:, 2],
+                    _indices(obj["infinity"], f"{path}.infinity"), positions)
     except ValueError as exc:
-        raise InputError(f"grid: {exc}")
+        raise InputError(f"{path}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +110,7 @@ def encode_element(x: Element) -> dict:
 
 def decode_element(obj, path="element") -> Element:
     _expect(obj, ("algebra", "blocks"), ("selfadjoint",), path)
-    algebra = AlgebraDescriptor(tuple(obj["algebra"]))
+    algebra = _algebra(obj["algebra"], f"{path}.algebra")
     blocks = [decode_complex_matrix(b, f"{path}.blocks[{i}]")
               for i, b in enumerate(obj["blocks"])]
     try:
@@ -128,11 +130,14 @@ def encode_map_field(phi: MapField) -> dict:
 
 def decode_map_field(obj, path="map") -> MapField:
     _expect(obj, ("grid", "algebra", "rho"), (), path)
-    grid = decode_grid(obj["grid"])
-    algebra = AlgebraDescriptor(tuple(obj["algebra"]))
+    grid = decode_grid(obj["grid"], f"{path}.grid")
+    algebra = _algebra(obj["algebra"], f"{path}.algebra")
     rho = obj["rho"]
     if not isinstance(rho, list) or len(rho) != grid.n:
         raise InputError(f"{path}.rho: need one entry per node")
+    for t, mats in enumerate(rho):
+        if not isinstance(mats, list) or len(mats) != len(algebra.blocks):
+            raise InputError(f"{path}.rho[{t}]: need one matrix per block")
     stacks = []
     for b, d in enumerate(algebra.blocks):
         mats = [decode_complex_matrix(rho[t][b], f"{path}.rho[{t}][{b}]")
@@ -168,6 +173,39 @@ def _scalar(x, path):
     if arr.ndim != 0:
         raise InputError(f"{path}: expected a number")
     return float(arr)
+
+
+def _integer(x, path, minimum=None):
+    """``x`` as an int; raises naming the path unless it is a whole number,
+    at least ``minimum`` when that is given."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)) \
+            or not np.isfinite(x) or x != int(x):
+        raise InputError(f"{path}: expected an integer, got {x!r}")
+    if minimum is not None and x < minimum:
+        raise InputError(f"{path}: expected at least {minimum}, got {x!r}")
+    return int(x)
+
+
+def _indices(x, path):
+    """``x`` as an int array; raises naming the first entry that is not a
+    whole number."""
+    arr = _floats(x, path)
+    whole = arr == np.round(arr)
+    if not whole.all():
+        bad = tuple(np.argwhere(~whole)[0])
+        index = "".join(f"[{k}]" for k in bad)
+        raise InputError(f"{path}{index}: expected an integer, got {arr[bad]}")
+    return arr.astype(int)
+
+
+def _algebra(x, path):
+    if not isinstance(x, list):
+        raise InputError(f"{path}: expected a list of block sizes")
+    try:
+        return AlgebraDescriptor(tuple(_integer(b, f"{path}[{i}]", 1)
+                                       for i, b in enumerate(x)))
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}")
 
 
 def _field_or_scalar(x, path):
@@ -232,7 +270,7 @@ def decode_gauge(obj, n_nodes: int, path="seminorm",
             norm = decode_norm(obj["norm"], f"{path}.norm") \
                 if "norm" in obj else BaseNorm()
             return ScaledNorm(_field_or_scalar(obj["c"], path), n_nodes,
-                              int(obj["dim"]), norm)
+                              _integer(obj["dim"], f"{path}.dim", 1), norm)
         if kind == "max_abs_linear":
             _expect(obj, ("kind", "functionals"), ("scale",), path)
             return MaxAbsLinear(_floats(obj["functionals"], path), n_nodes,
@@ -271,8 +309,11 @@ def decode_gauge(obj, n_nodes: int, path="seminorm",
                            _floats(obj["subspace"], path), oracle)
         if kind == "piecewise_nodes":
             _expect(obj, ("kind", "mask", "inside", "outside"), (), path)
-            return PiecewiseNodes(np.asarray(obj["mask"], dtype=bool),
-                                  sub("inside"), sub("outside"))
+            mask = _indices(obj["mask"], f"{path}.mask")
+            if np.any((mask != 0) & (mask != 1)):
+                raise InputError(f"{path}.mask: expected 0/1 entries")
+            return PiecewiseNodes(mask.astype(bool), sub("inside"),
+                                  sub("outside"))
     except ValueError as exc:
         raise InputError(f"{path}: {exc}")
     raise InputError(f"{path}: unknown gauge kind {kind!r}")
@@ -296,7 +337,8 @@ def decode_model(obj, path="space") -> VectorSpaceModel:
     nil = obj.get("nilspace")
     try:
         return VectorSpaceModel(
-            int(obj["dim"]), decode_norm(obj["norm"], f"{path}.norm"),
+            _integer(obj["dim"], f"{path}.dim", 1),
+            decode_norm(obj["norm"], f"{path}.norm"),
             _floats(obj["subspace"], path), _floats(obj["complement"], path),
             None if nil is None else _floats(nil, path))
     except ValueError as exc:
@@ -323,7 +365,7 @@ def decode_extension_problem(obj, path="extend", tols=DEFAULT_TOLS,
     :func:`decode_gauge`."""
     _expect(obj, ("grid", "space", "phi", "seminorm", "delta"), ("order",),
             path)
-    grid = decode_grid(obj["grid"])
+    grid = decode_grid(obj["grid"], f"{path}.grid")
     model = decode_model(obj["space"], f"{path}.space")
     gauge = decode_gauge(obj["seminorm"], grid.n, f"{path}.seminorm", oracle)
     try:
@@ -333,7 +375,13 @@ def decode_extension_problem(obj, path="extend", tols=DEFAULT_TOLS,
                                    tols)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}")
-    return problem, obj.get("order")
+    order = obj.get("order")
+    if order is not None:
+        order = _indices(order, f"{path}.order")
+        if order.ndim != 1:
+            raise InputError(f"{path}.order: expected a list of indices")
+        order = order.tolist()
+    return problem, order
 
 
 def encode_instance(kind: str, payload: dict) -> dict:

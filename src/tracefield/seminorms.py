@@ -17,6 +17,7 @@ them hold exactly for the reported values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,20 +60,16 @@ class BaseNorm:
             return np.sum(np.abs(z), axis=-1)
         return np.max(np.abs(z), axis=-1) if z.shape[-1] else np.zeros(z.shape[:-1])
 
-    def subgrad(self, z):
-        zw = self._scaled(z)
+    def term(self, weight, dim, Y=None):
+        """``weight(t) * ||w . (z + Y y)||`` as a :class:`GaugeTerm` on R^dim:
+        one Euclidean group for p = 2, a sum of 1-D groups for p = 1 and a
+        max-abs term for p = inf; free coordinates ``Y`` only for the last
+        two."""
+        P = np.diag(np.ones(dim) if self.weights is None else self.weights)
         if self.p == 2.0:
-            n = np.linalg.norm(zw, axis=-1, keepdims=True)
-            g = zw / np.maximum(n, 1e-300)
-        elif self.p == 1.0:
-            g = np.sign(zw)
-        else:
-            g = np.zeros_like(zw)
-            idx = np.argmax(np.abs(zw), axis=-1)
-            np.put_along_axis(g, idx[..., None],
-                              np.take_along_axis(np.sign(zw), idx[..., None],
-                                                 -1), -1)
-        return g if self.weights is None else g * self.weights
+            return GaugeTerm(weight, P[None, None])
+        return GaugeTerm(weight, P[None, :, None, :], self.p != 1.0,
+                         None if Y is None else (P @ Y)[:, None, :])
 
 
 class SubspaceDistance:
@@ -118,18 +115,17 @@ class SubspaceDistance:
         out = np.array([self._lp_value(row)[0] for row in flat])
         return out.reshape(z.shape[:-1])
 
-    def subgrad(self, z):
-        z = np.asarray(z, dtype=float)
+    def term(self, weight):
+        """``weight(t)`` times the distance as a :class:`GaugeTerm`: the
+        residual map for p = 2, else the norm of z - Wᵀy over free
+        coordinates y of an orthonormal basis W of the span."""
+        dim = self.basis.shape[1]
         if self.norm.p == 2.0:
             w = self.norm.weights
-            resid = self._residual(z)
-            n = np.sqrt(np.einsum("...i,...i->...", resid, resid))[..., None]
-            g = resid / np.maximum(n, 1e-300)
-            return g if w is None else g * w
-        flat = z.reshape(-1, z.shape[-1])
-        grads = np.stack([self.norm.subgrad(row - self._lp_value(row)[1])
-                          for row in flat])
-        return grads.reshape(z.shape)
+            P = self._residual_op.T * (1.0 if w is None else w)
+            return GaugeTerm(weight, P[None, None])
+        q = orthonormal_rows(self.basis)
+        return self.norm.term(weight, dim, -q.T if q.shape[0] else None)
 
     def _lp_value(self, z):
         if self.basis.shape[0] == 0:
@@ -160,19 +156,46 @@ class SubspaceDistance:
 # ---------------------------------------------------------------------------
 # gauges
 
+class GaugeTerm(NamedTuple):
+    """``weight(t) * N(P(t) z + Y y)`` with N as in
+    :class:`~tracefield.solvers.NormTerm`: ``weight`` has shape (n_nodes,),
+    ``P`` (1 | n_nodes, groups, size, dim), and ``Y`` (groups, size, r) maps
+    free coordinates y in R^r that the term minimizes over (None when the
+    term has none)."""
+
+    weight: np.ndarray
+    P: np.ndarray
+    maxabs: bool = False
+    Y: np.ndarray | None = None
+
+
+def _joined(parts):
+    """Concatenated term lists; None if any part has no closed form."""
+    if any(p is None for p in parts):
+        return None
+    return [t for p in parts for t in p]
+
+
+def _scaled_terms(terms, factor):
+    if terms is None:
+        return None
+    return [t._replace(weight=t.weight * factor) for t in terms]
+
+
 class Gauge:
     """Common interface: nodewise sublinear nonnegative functions on R^dim."""
 
     dim: int
     n_nodes: int
-    has_subgrad: bool = True
 
     def values(self, Z) -> np.ndarray:
         """Z has shape (..., n_nodes, dim); returns (..., n_nodes)."""
         raise NotImplementedError
 
-    def subgrad(self, Z) -> np.ndarray:
-        raise NotImplementedError
+    def norm_terms(self):
+        """The gauge as a sum of :class:`GaugeTerm` objects, or None for the
+        inf-type kinds, which have no such closed form."""
+        return None
 
     def value_nodes(self, z, extra=None):
         """Evaluate one ambient vector at every node.
@@ -223,9 +246,8 @@ class ScaledNorm(Gauge):
         Z = self._check_shape(Z)
         return self.c * self.norm.value(Z)
 
-    def subgrad(self, Z):
-        Z = self._check_shape(Z)
-        return self.c[..., None] * self.norm.subgrad(Z)
+    def norm_terms(self):
+        return [self.norm.term(self.c, self.dim)]
 
     def nilspace_basis(self, t, tol=1e-10):
         if self.c[t] <= tol:
@@ -249,12 +271,9 @@ class MaxAbsLinear(Gauge):
         Z = self._check_shape(Z)
         return self.scale * np.max(np.abs(Z @ self.functionals.T), axis=-1)
 
-    def subgrad(self, Z):
-        Z = self._check_shape(Z)
-        prods = Z @ self.functionals.T
-        idx = np.argmax(np.abs(prods), axis=-1)
-        signs = np.take_along_axis(np.sign(prods), idx[..., None], -1)
-        return self.scale[..., None] * signs * self.functionals[idx]
+    def norm_terms(self):
+        return [GaugeTerm(self.scale, self.functionals[None, :, None, :],
+                          True)]
 
     def nilspace_basis(self, t, tol=1e-10):
         if self.scale[t] <= tol:
@@ -272,13 +291,12 @@ class SumGauge(Gauge):
         self.n_nodes = parts[0].n_nodes
         if any(p.dim != self.dim or p.n_nodes != self.n_nodes for p in parts):
             raise SeminormError("sum gauge parts disagree in shape")
-        self.has_subgrad = all(p.has_subgrad for p in parts)
 
     def values(self, Z):
         return sum(p.values(Z) for p in self.parts)
 
-    def subgrad(self, Z):
-        return sum(p.subgrad(Z) for p in self.parts)
+    def norm_terms(self):
+        return _joined([p.norm_terms() for p in self.parts])
 
     def nilspace_basis(self, t, tol=1e-10):
         basis = self.parts[0].nilspace_basis(t, tol)
@@ -295,13 +313,12 @@ class ScaledByField(Gauge):
         self.dim = inner.dim
         self.n_nodes = inner.n_nodes
         self.factor = _as_field(factor, self.n_nodes)
-        self.has_subgrad = inner.has_subgrad
 
     def values(self, Z):
         return self.factor * self.inner.values(Z)
 
-    def subgrad(self, Z):
-        return self.factor[..., None] * self.inner.subgrad(Z)
+    def norm_terms(self):
+        return _scaled_terms(self.inner.norm_terms(), self.factor)
 
     def value_nodes(self, z, extra=None):
         vals, wit = self.inner.value_nodes(z, extra)
@@ -325,7 +342,6 @@ class AugmentedGauge(Gauge):
         self.dim = base.dim
         self.n_nodes = base.n_nodes
         self.terms = list(terms)
-        self.has_subgrad = base.has_subgrad
 
     def _term_values(self, delta, dist, Z):
         if isinstance(dist, SubspaceDistance):
@@ -342,16 +358,20 @@ class AugmentedGauge(Gauge):
             vals = vals + self._term_values(delta, dist, Z)
         return vals
 
-    def subgrad(self, Z):
-        Z = self._check_shape(Z)
-        g = self.base.subgrad(Z)
+    def norm_terms(self):
+        """Base terms plus one term per distance; a per-node list of
+        distances stacks its residual maps and needs p = 2."""
+        parts = [self.base.norm_terms()]
+        weight = np.ones(self.n_nodes)
         for delta, dist in self.terms:
             if isinstance(dist, SubspaceDistance):
-                g = g + delta * dist.subgrad(Z)
+                parts.append([dist.term(delta * weight)])
+            elif all(d.norm.p == 2.0 for d in dist):
+                P = np.concatenate([d.term(weight).P for d in dist])
+                parts.append([GaugeTerm(delta * weight, P)])
             else:
-                for t in range(self.n_nodes):
-                    g[..., t, :] += delta * dist[t].subgrad(Z[..., t, :])
-        return g
+                return None
+        return _joined(parts)
 
     def nilspace_basis(self, t, tol=1e-10):
         basis = self.base.nilspace_basis(t, tol)
@@ -375,15 +395,15 @@ class PiecewiseNodes(Gauge):
         if mask.shape != (self.n_nodes,):
             raise SeminormError("piecewise mask length mismatch")
         self.mask = mask
-        self.has_subgrad = inside.has_subgrad and outside.has_subgrad
 
     def values(self, Z):
         return np.where(self.mask, self.inside.values(Z),
                         self.outside.values(Z))
 
-    def subgrad(self, Z):
-        return np.where(self.mask[..., None], self.inside.subgrad(Z),
-                        self.outside.subgrad(Z))
+    def norm_terms(self):
+        inside = _scaled_terms(self.inside.norm_terms(), self.mask)
+        outside = _scaled_terms(self.outside.norm_terms(), ~self.mask)
+        return _joined([inside, outside])
 
     def value_nodes(self, z, extra=None):
         vi, _ = self.inside.value_nodes(z, extra)
@@ -452,8 +472,6 @@ class _BatchSolved(Gauge):
     """Inf-type gauge: ``_solve(Z, extra)`` takes a batch Z (P, n, dim), in
     which problem (p, t) is the vector ``Z[p, t]`` at node t, and returns
     values (P, n) and inner minimizers (P, n, dim)."""
-
-    has_subgrad = False
 
     def values(self, Z):
         Z = self._check_shape(Z)
@@ -535,8 +553,8 @@ class _QuotientCore:
 
             pts = ({1: 201, 2: 41} if self.oracle else {1: 81, 2: 25}).get(k)
             start = _scan(fun, radius, pts, k) if pts else None
-            y, _ = minimize_batched(fun, None, k, 2 * P * n, radius,
-                                    n_iter=0, polish_rounds=120, y0=start)
+            y, _ = minimize_batched(fun, k, n_nodes=2 * P * n, radius=radius,
+                                    polish_rounds=120, y0=start)
             cands.extend(y.reshape(2, P, n, k) @ self.wq)
         W = _with_extra(cands, extra, Z.shape)
         v_bar, w_bar = _pick(self._objective(Z, W, False), W)
@@ -619,8 +637,8 @@ class InfConv(_BatchSolved):
                 return (self.m1.values(Y) + self.m2.values(Z - Y)) \
                     .reshape(C.shape[:-1])
 
-            y, _ = minimize_batched(fun, None, k, P * n, radius,
-                                    n_iter=0, polish_rounds=220)
+            y, _ = minimize_batched(fun, k, n_nodes=P * n, radius=radius,
+                                    polish_rounds=220)
             cands.append(y.reshape(P, n, k) @ self.fq)
             if self.oracle and k <= 2:
                 cands.append(_scan(fun, radius, 41, k).reshape(P, n, k)

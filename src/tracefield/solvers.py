@@ -1,20 +1,27 @@
 """Optimization primitives shared by the seminorm and extension engines.
 
-Everything here is deterministic: random multistarts draw from fixed seeds,
-pattern-search direction sets are fixed arrays, and linear programs go
-through HiGHS.  Batched routines treat the leading "node" axis as a family
-of independent problems solved in lockstep.
+Everything here is deterministic: pattern-search direction sets are fixed
+arrays, the sum-of-norms solver follows a fixed barrier schedule, and linear
+programs go through HiGHS.  Batched routines treat the leading "node" axis
+as a family of independent problems solved in lockstep.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import coo_array
 
-_MULTISTART_SEED = 718281828
+_DIRECTION_SEED = 718281828
+_MU_FACTOR = 100.0   # barrier weight divisor per stage of the path
+_RIDGE = 1e-15       # added to the unit diagonal of the scaled Newton matrix
+_GAP_TOL = 1e-12     # relative duality gap at which a node stops
+# Newton steps per batch: nodes stop within 50 on the extend workload, and
+# near 100 on a max-abs term of 200 rows
+_MAX_STEPS = 200
 
 
 class SolverError(RuntimeError):
@@ -70,7 +77,7 @@ def intersect_rowspaces(a, b, tol=1e-12):
 
 
 # ---------------------------------------------------------------------------
-# batched convex minimization (projected subgradient + pattern polish)
+# batched pattern search (objectives known only through their values)
 
 def _directions(dim):
     if dim == 0:
@@ -86,60 +93,39 @@ def _directions(dim):
                             indexing="ij")
         d = np.stack([g.ravel() for g in grids], axis=-1)
         d = d[np.any(d != 0, axis=1)]
-        rng = np.random.default_rng(_MULTISTART_SEED)
+        rng = np.random.default_rng(_DIRECTION_SEED)
         d = np.vstack([d, rng.standard_normal((24, 3))])
     else:
         eye = np.eye(dim)
-        rng = np.random.default_rng(_MULTISTART_SEED)
+        rng = np.random.default_rng(_DIRECTION_SEED)
         extra = rng.standard_normal((4 * dim, dim))
         d = np.vstack([eye, -eye, extra])
     return d / np.linalg.norm(d, axis=1, keepdims=True)
 
 
-def _multistarts(dim, radius, hint, n_starts):
-    """Start points; ``radius`` broadcasts against (n_nodes, dim)."""
-    starts = [np.zeros(dim)]
-    if hint is not None:
-        starts.append(np.asarray(hint, dtype=float))
-        starts.append(-np.asarray(hint, dtype=float))
-    k = 0
-    while len(starts) < n_starts and k < dim:
-        e = np.zeros(dim)
-        e[k] = 1.0
-        starts += [radius * e, radius * -e]
-        k += 1
-    rng = np.random.default_rng(_MULTISTART_SEED)
-    while len(starts) < n_starts:
-        starts.append(radius * rng.standard_normal(dim) / np.sqrt(max(dim, 1)))
-    return starts[:max(n_starts, 1)]
-
-
-def minimize_batched(fun, sub, dim, n_nodes, radius, ball_norm=None,
-                     hint=None, n_starts=8, n_iter=500, polish_rounds=300,
-                     min_radius=1e-9, y0=None):
-    """Minimize a convex objective per node over a ball of given radius.
+def minimize_batched(fun, dim, n_nodes, radius, ball_norm=None,
+                     polish_rounds=300, min_radius=1e-9, y0=None):
+    """Minimize a convex objective per node over a ball by pattern search.
 
     Parameters
     ----------
     fun : callable
-        Maps ``(..., n_nodes, dim)`` points to ``(..., n_nodes)`` values.
-    sub : callable or None
-        Subgradient with the same batch semantics; ``None`` disables the
-        subgradient phase (pattern search only).
+        Maps ``(..., n_nodes, dim)`` points to ``(..., n_nodes)`` values;
+        the search reads the objective through its values only.
     dim, n_nodes : int
         Problem dimensions.
     radius : float or array of shape (n_nodes,)
         Ball radius in ``ball_norm`` (Euclidean when None), shared or one
         per node; points are kept feasible by radial rescaling.
-    hint : array or None
-        Extra start shared by all nodes.
     y0 : array or None
         Per-node warm start, shape (n_nodes, dim).
 
-    The "nodes" are independent problems: the pattern polish keeps one step
-    per node, halves it only when that node fails to improve and freezes the
-    node once the step is at most ``min_radius``, so a node's result does
-    not depend on the other problems of the batch.
+    The search starts at the origin (and ``y0``) and polishes with a fixed
+    direction set.  The "nodes" are independent problems: the polish keeps
+    one step per node, halves it only when that node fails to improve and
+    freezes the node once the step is at most ``min_radius``, so a node's
+    result does not depend on the other problems of the batch.  Values are
+    those of evaluated points, hence upper bounds of the minima.
 
     Returns ``(y, v)``: per-node argmin estimates and values.
     """
@@ -147,7 +133,6 @@ def minimize_batched(fun, sub, dim, n_nodes, radius, ball_norm=None,
     if dim == 0 or np.all(radius == 0.0):
         y = np.zeros((n_nodes, dim))
         return y, fun(y)
-    rad = radius[..., None]          # broadcasts against (..., n_nodes, dim)
 
     nrm = (lambda z: np.linalg.norm(z, axis=-1)) if ball_norm is None \
         else ball_norm
@@ -160,31 +145,13 @@ def minimize_batched(fun, sub, dim, n_nodes, radius, ball_norm=None,
     best_y = np.zeros((n_nodes, dim))
     best_v = fun(best_y)
     nodes = np.arange(n_nodes)
-
-    def absorb(ys, vs):
-        idx = np.argmin(vs, axis=0)
-        v = vs[idx, nodes]
-        improve = v < best_v
-        best_y[improve] = ys[idx[improve], improve]
-        best_v[improve] = v[improve]
-
     if y0 is not None:
         y0 = project(np.array(y0, dtype=float))
-        absorb(y0[None], fun(y0)[None])
+        v0 = fun(y0)
+        improve = v0 < best_v
+        best_y[improve] = y0[improve]
+        best_v[improve] = v0[improve]
 
-    if sub is not None:
-        # all starts advance as one batched stack
-        starts = _multistarts(dim, rad, hint, n_starts)
-        ys = project(np.stack([np.broadcast_to(s, (n_nodes, dim))
-                               for s in starts]).astype(float))
-        absorb(ys, fun(ys))
-        for k in range(1, n_iter + 1):
-            g = sub(ys)
-            gn = np.linalg.norm(g, axis=-1, keepdims=True)
-            ys = project(ys - (rad / k) * g / np.maximum(gn, 1e-300))
-            absorb(ys, fun(ys))
-
-    # pattern polish: fixed direction set, one shrinking step per node
     dirs = _directions(dim)
     step = np.broadcast_to(np.maximum(radius / 4.0, min_radius * 2),
                            (n_nodes,)).copy()
@@ -202,6 +169,318 @@ def minimize_batched(fun, sub, dim, n_nodes, radius, ball_norm=None,
         step[active & ~improve] *= 0.5
         active &= step > min_radius
     return best_y, best_v
+
+
+# ---------------------------------------------------------------------------
+# batched sums of norms: barrier Newton with a dual lower bound
+
+class NormTerm(NamedTuple):
+    """``weight(t) * N(A(t) v + b(t))`` at node t of a batch.
+
+    ``weight`` has shape (n,), ``A`` (1 | n, groups, size, k) and ``b``
+    (1 | n, groups, size).  N sums the Euclidean norms of the groups or,
+    with ``maxabs``, takes the largest absolute entry.
+    """
+
+    weight: np.ndarray
+    A: np.ndarray
+    b: np.ndarray
+    maxabs: bool = False
+
+
+def _rows(a, idx):
+    """Rows ``idx`` of a per-node array; a shared one (leading 1) passes."""
+    return a if a.shape[0] == 1 else a[idx]
+
+
+class _NormSum:
+    """The data of :func:`minimize_norm_sum` on some nodes of the batch.
+
+    The Euclidean groups of one size are stacked into one block
+    ``(w, A, b, AᵀA)`` with a weight per group; each max-abs term
+    ``(w, A, b)`` keeps its rows flat and owns one epigraph variable, stored
+    after the k variables.
+    """
+
+    def __init__(self, g, ball, radius, blocks, maxabs):
+        self.g, self.ball, self.radius = g, ball, radius
+        self.blocks, self.maxabs = blocks, maxabs
+        self.gram = np.einsum("nmk,nml->nkl", ball, ball)
+        self.gram_inv = np.linalg.inv(self.gram)
+        # barrier parameter: the gap at the centre is below nu mu
+        self.nu = 2.0 + sum(blk[0].shape[1] for blk in blocks) \
+            + sum(2.0 * blk[1].shape[1] for blk in maxabs)
+
+    @classmethod
+    def build(cls, terms, g, ball, radius):
+        n = g.shape[0]
+        by_size, maxabs = {}, []
+        for term in terms:
+            w = np.broadcast_to(np.asarray(term.weight, dtype=float), (n,))
+            A = np.asarray(term.A, dtype=float)
+            b = np.broadcast_to(np.asarray(term.b, dtype=float), A.shape[:-1])
+            if term.maxabs:
+                maxabs.append((w, A.reshape(A.shape[0], -1, A.shape[-1]),
+                               b.reshape(b.shape[0], -1)))
+            else:
+                by_size.setdefault(A.shape[2], []).append((w, A, b))
+        blocks = []
+        for group in by_size.values():
+            lead = max(A.shape[0] for _, A, _ in group)
+            A = np.concatenate([np.broadcast_to(A, (lead,) + A.shape[1:])
+                                for _, A, _ in group], axis=1)
+            b = np.concatenate([np.broadcast_to(b, (lead,) + b.shape[1:])
+                                for _, _, b in group], axis=1)
+            w = np.concatenate([np.repeat(w[:, None], a.shape[1], axis=1)
+                                for w, a, _ in group], axis=1)
+            blocks.append((w, A, b, np.einsum("ngsk,ngsl->ngkl", A, A)))
+        ball = np.asarray(ball, dtype=float)
+        return cls(g, ball[None] if ball.ndim == 2 else ball,
+                   np.broadcast_to(np.asarray(radius, dtype=float), (n,)),
+                   blocks, maxabs)
+
+    def subset(self, idx):
+        return _NormSum(self.g[idx], _rows(self.ball, idx), self.radius[idx],
+                        [tuple(_rows(a, idx) for a in blk)
+                         for blk in self.blocks],
+                        [tuple(_rows(a, idx) for a in blk)
+                         for blk in self.maxabs])
+
+    def value(self, c):
+        """The objective at c; the epigraph variables play no part."""
+        val = np.einsum("nk,nk->n", self.g, c)
+        for w, A, b, _ in self.blocks:
+            u = _apply(A, c) + b
+            val = val + np.sum(w * np.sqrt(np.sum(u * u, axis=-1)), axis=-1)
+        for w, A, b in self.maxabs:
+            val = val + w * np.max(np.abs(_apply(A, c) + b), axis=-1)
+        return val
+
+    def dual_norm(self, r):
+        """max of r . v over the unit ball ||M v|| <= 1."""
+        return np.sqrt(_quad(self.gram_inv, r))
+
+    def start(self, mu):
+        """The origin, with each epigraph variable above its rows."""
+        n, k = self.g.shape
+        x = np.zeros((n, k + len(self.maxabs)))
+        for j, (w, _, b) in enumerate(self.maxabs):
+            x[:, k + j] = np.max(np.abs(b), axis=-1) \
+                + 2.0 * b.shape[-1] * mu / np.where(w > 0, w, 1.0)
+        return x
+
+    def merit(self, x, mu):
+        """objective + mu * barrier up to terms constant in x (inf outside
+        the cones); a smoothed norm is q - mu log(mu + q)."""
+        k = self.g.shape[1]
+        c = x[:, :k]
+        m = mu[:, None]
+        val = np.einsum("nk,nk->n", self.g, c)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for w, A, b, _ in self.blocks:
+                u = _apply(A, c) + b
+                q = np.sqrt(m * m + w * w * np.sum(u * u, axis=-1))
+                val = val + np.sum(q - m * np.log(m + q), axis=-1)
+            for j, (w, A, b) in enumerate(self.maxabs):
+                tau = x[:, k + j, None]
+                u = np.abs(np.where((w > 0)[:, None], _apply(A, c) + b, 0.0))
+                slack = tau - u
+                d = np.where(slack > 0, slack * (tau + u), 0.0)
+                val = val + np.where(w > 0, w, 1.0) * tau[:, 0] \
+                    - mu * np.sum(np.where(d > 0, np.log(d), -np.inf), -1)
+            e = self.radius ** 2 - _quad(self.gram, c)
+            val = val - mu * np.where(e > 0, np.log(e), -np.inf)
+        return val
+
+    def newton(self, x, mu):
+        """Newton step at x for  objective + mu * barrier.
+
+        Returns ``(step, dec, value, lower)``: the step, the squared
+        Newton decrement of the self-concordant ``barrier + objective / mu``,
+        the objective after the full step, and the dual bound of the
+        multipliers linearised along the step and clipped into their balls.
+        """
+        n, k = self.g.shape
+        c = x[:, :k]
+        m = mu[:, None]
+        grad = np.zeros(x.shape)
+        hess = np.zeros(x.shape + x.shape[-1:])
+        grad[:, :k] = self.g
+        cache = []
+        for w, A, b, ata in self.blocks:
+            # the smoothed norm min over tau of  w tau - mu log(tau² - |u|²)
+            # has gradient a u in u and Hessian a (I - r u uᵀ)
+            u = _apply(A, c) + b
+            q = np.sqrt(m * m + w * w * np.sum(u * u, axis=-1))
+            a = w * w / (m + q)
+            r = w * w / (q * (m + q))
+            au = np.einsum("ngsk,ngs->ngk", A, u)
+            grad[:, :k] += np.einsum("ng,ngk->nk", a, au)
+            hess[:, :k, :k] += np.einsum("ng,ngkl->nkl", a, ata) \
+                - np.einsum("ng,ngk,ngl->nkl", a * r, au, au)
+            cache.append((u, a, r))
+        for j, (w, A, b) in enumerate(self.maxabs):
+            # barrier -mu log(tau² - u²) per row; a zero weight drops the
+            # rows and leaves tau a unit-cost variable
+            live = (w > 0)[:, None]
+            tau = x[:, k + j, None]
+            u = np.where(live, _apply(A, c) + b, 0.0)
+            d = (tau - np.abs(u)) * (tau + np.abs(u))
+            p = 2.0 * m / d
+            huu = np.where(live, p * (1.0 + 2.0 * u * u / d), 0.0)
+            hut = np.where(live, -2.0 * p * u * tau / d, 0.0)
+            grad[:, :k] += np.einsum("nr,nrk->nk", p * u, A)
+            grad[:, k + j] = np.where(w > 0, w, 1.0) - np.sum(p * tau, -1)
+            hess[:, :k, :k] += np.einsum("nr,nrk,nrl->nkl", huu, A, A)
+            hess[:, :k, k + j] = hess[:, k + j, :k] = \
+                np.einsum("nr,nrk->nk", hut, A)
+            hess[:, k + j, k + j] = np.sum(p * (2.0 * tau * tau / d - 1.0), -1)
+            cache.append((u, p * u, huu, hut))
+        gc = np.einsum("nkl,nl->nk", self.gram, c)
+        e = (self.radius ** 2 - np.einsum("nk,nk->n", c, gc))[:, None]
+        grad[:, :k] += 2.0 * m * gc / e
+        hess[:, :k, :k] += (2.0 * m / e)[..., None] * self.gram \
+            + (4.0 * m / (e * e))[..., None] * gc[:, :, None] * gc[:, None, :]
+
+        # symmetric diagonal scaling, since a term that pins a direction
+        # brings curvature of order 1 / mu there; the ridge keeps rounding
+        # from making the scaled matrix singular
+        s = 1.0 / np.sqrt(np.diagonal(hess, axis1=1, axis2=2))
+        scaled = hess * s[:, :, None] * s[:, None, :] \
+            + _RIDGE * np.eye(x.shape[1])
+        step = -s * np.linalg.solve(scaled, (grad * s)[..., None])[..., 0]
+        dec = -np.einsum("nk,nk->n", grad, step) / mu
+
+        dc = step[:, :k]
+        dual = np.zeros(n)
+        resid = self.g.copy()
+        for (w, A, b, _), (u, a, r) in zip(self.blocks, cache):
+            du = _apply(A, dc)
+            ud = np.sum(u * du, axis=-1)
+            z = a[..., None] * (u + du - (r * ud)[..., None] * u)
+            nz = np.sqrt(np.sum(z * z, axis=-1))
+            z *= np.minimum(1.0, w / np.maximum(nz, 1e-300))[..., None]
+            dual += np.sum(z * b, axis=(-1, -2))
+            resid += np.sum(np.einsum("ngs,ngsk->ngk", z, A), axis=1)
+        for j, ((w, A, b), (u, pu, huu, hut)) in enumerate(
+                zip(self.maxabs, cache[len(self.blocks):])):
+            zeta = pu + huu * _apply(A, dc) + hut * step[:, k + j, None]
+            l1 = np.sum(np.abs(zeta), axis=-1)
+            zeta *= np.minimum(1.0, w / np.maximum(l1, 1e-300))[:, None]
+            dual += np.sum(zeta * b, axis=-1)
+            resid += np.einsum("nr,nrk->nk", zeta, A)
+        cn = c + dc
+        inside = _quad(self.gram, cn) <= self.radius ** 2
+        lower = dual - self.radius * self.dual_norm(resid)
+        return step, dec, np.where(inside, self.value(cn), np.inf), lower
+
+
+# Every product below reduces over one axis at a time: the order of a sum
+# over two axes may change with the batch size, and a node's result must not.
+
+def _apply(A, c):
+    """A (1 | n, ..., k) applied to per-node vectors c (n, k)."""
+    return np.einsum("n...k,nk->n...", A, c)
+
+
+def _quad(G, c):
+    """The quadratic forms c_t . G_t c_t; G has shape (1 | n, k, k)."""
+    return np.einsum("nk,nk->n", np.einsum("nkl,nl->nk", G, c), c)
+
+
+def minimize_norm_sum(terms, g, ball, radius):
+    """Minimize ``g_t . v + sum_i terms_i(v)`` over ``||M v|| <= radius_t``
+    for every node t of a batch, with a certified lower bound.
+
+    ``terms`` are :class:`NormTerm` objects over v in R^k, ``g`` has shape
+    (n, k), ``ball`` is M of full column rank, shape (m, k) or (n, m, k),
+    and ``radius`` is a scalar or has shape (n,).
+
+    The method is a barrier Newton path following over second-order cones
+    (Lobo, Vandenberghe, Boyd & Lebret 1998; Andersen, Christiansen, Conn &
+    Overton 2000): a Euclidean term enters through its smoothed norm, the
+    minimum over its epigraph variable of the cone barrier; a max-abs term
+    keeps one epigraph variable tau with the 1-D cones |u_r| <= tau; the ball
+    is one more cone and keeps the Newton matrix nonsingular where every
+    term vanishes along a direction.  A step of squared decrement below 0.1
+    (the quadratic zone of the self-concordant barrier) is taken in full and
+    ends a stage: the barrier weight drops by up to ``_MU_FACTOR``, down to
+    a floor where the central gap is a quarter of the tolerance.  Outside
+    that zone the step backtracks on the barrier merit.  Every step gives a
+    lower bound: the term multipliers, linearised along the step and
+    clipped into their dual balls (Euclidean, or l1 for max-abs terms),
+    bound the objective below by ``sum z . b - radius ||r||_*``, where r is
+    the stationarity residual and ``||.||_*`` the dual norm of the ball.  A
+    node stops once ``value - lower <= 1e-12 (1 + |value|)``, or after a few
+    full steps at the floor weight, where rounding rules.
+
+    Nodes are independent problems: each keeps its own barrier weight and
+    leaves the batch when it stops, so its result does not depend on the
+    others.  Returns ``(v, value, lower)``: the best point of each node, its
+    objective value and the best lower bound found.
+    """
+    g = np.asarray(g, dtype=float)
+    n, k = g.shape
+    prob = _NormSum.build(terms, g, ball, radius)
+    best = np.zeros((n, k))
+    value = prob.value(best)
+    lower = np.full(n, -np.inf)
+    # the barrier weight starts where the central gap nu mu matches the
+    # objective at the origin, else its spread over the ball; a node with
+    # neither has the optimum 0 at the origin, and any weight does
+    spread = prob.radius * prob.dual_norm(g)
+    mu = np.where(value != 0.0, np.abs(value),
+                  np.where(spread > 0.0, spread, prob.nu)) / prob.nu
+    x = prob.start(mu)
+    nodes = np.arange(n)
+    polish = np.zeros(n, dtype=int)
+    for _ in range(_MAX_STEPS):
+        if nodes.size == 0:
+            break
+        step, dec, val, low = prob.newton(x, mu)
+        better = val < value[nodes]
+        value[nodes[better]] = val[better]
+        best[nodes[better]] = x[better, :k] + step[better, :k]
+        lower[nodes] = np.fmax(lower[nodes], low)
+        # a node stops at its tolerance, or after a few full steps at the
+        # floor weight, where rounding rules the steps
+        scale = _GAP_TOL * (1.0 + np.abs(value[nodes]))
+        done = (value[nodes] - lower[nodes] <= scale) | (polish > 4)
+
+        # full steps in the quadratic zone; elsewhere backtrack from the
+        # full step on the merit.  A node that finds no such step takes the
+        # damped step 1 / (1 + sqrt(dec)), and stays put if rounding puts
+        # even that outside a cone
+        zone = dec < 0.1
+        alpha = np.ones(nodes.size)
+        now = prob.merit(x, mu)
+        todo = np.ones(nodes.size, dtype=bool)
+        for _ in range(8):
+            trial = prob.merit(x + alpha[:, None] * step, mu)
+            todo &= ~np.where(zone, trial < np.inf,
+                              trial <= now - 0.25 * alpha * mu * dec)
+            if not todo.any():
+                break
+            alpha[todo] *= 0.5
+        if todo.any():
+            alpha[todo] = np.where(zone[todo], 0.0,
+                                   1.0 / (1.0 + np.sqrt(dec[todo])))
+            trial = prob.merit(x + alpha[:, None] * step, mu)
+            alpha[~(trial < np.inf)] = 0.0
+        x = x + alpha[:, None] * step
+        # a full step ends a barrier stage: the weight drops, down to the
+        # floor where the central gap nu mu is a quarter of the tolerance
+        zone &= ~todo
+        floor = scale / (4.0 * prob.nu)
+        polish += zone & (mu <= floor)
+        factor = np.where(zone, np.maximum(mu / floor, 1.0), 1.0)
+        factor = np.minimum(factor, _MU_FACTOR)
+        mu = mu / factor
+        if done.any():
+            keep = np.flatnonzero(~done)
+            nodes, x, mu, polish = nodes[keep], x[keep], mu[keep], polish[keep]
+            prob = prob.subset(keep)
+    return best, value, lower
 
 
 # ---------------------------------------------------------------------------

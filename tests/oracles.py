@@ -155,3 +155,77 @@ def cycle_flat_bottom(lo, hi):
     best = float(np.min(vals))
     near = cand[vals <= best + 1e-12 * (1.0 + abs(best))]
     return best, near[0], near[-1]
+
+
+def max_abs_envelope_lp(subspace, phi, x, functionals, scale, sign):
+    """Per-node minimum of  scale_t max_k |a_k . (c B + x)| + sign phi_t . c.
+
+    The epigraph form is a linear program in (c, s): minimize
+    sign phi_t . c + scale_t s  subject to  |a_k . (c B + x)| <= s.
+    """
+    ab = functionals @ subspace.T                 # (K, kY)
+    ax = functionals @ x                          # (K,)
+    n_c, k_y = ab.shape
+    a_ub = np.block([[ab, -np.ones((n_c, 1))], [-ab, -np.ones((n_c, 1))]])
+    b_ub = np.concatenate([-ax, ax])
+    out = np.zeros(phi.shape[0])
+    for t in range(phi.shape[0]):
+        c_obj = np.concatenate([sign * phi[t], [float(scale[t])]])
+        res = linprog(c_obj, A_ub=a_ub, b_ub=b_ub,
+                      bounds=[(None, None)] * k_y + [(0, None)],
+                      method="highs")
+        assert res.success, res.message
+        out[t] = float(res.fun)
+    return out
+
+
+def augmented_max_abs_lp(subspace, phi, x, functionals, scale, dists, sign):
+    """Per-node minimum of  scale_t max_k |a_k . z| + sum_j d_j dist_j(z)
+    + sign phi_t . c  at z = c B + x, for polyhedral distances.
+
+    ``dists`` lists (d_j, W_j, w_j, p_j) with p_j in {1, inf}: dist_j(z) is
+    the least ||w_j . (z - W_jᵀ y)||_p over y.  Every term enters one linear
+    program per node through its epigraph variables: s for the maximum, and
+    per distance the coordinates y plus one bound (p = inf) or one bound per
+    coordinate (p = 1).
+    """
+    k_y, dim = subspace.shape
+    blocks = []                     # (first column, len(y), bounds) per j
+    n_var = k_y + 1
+    for _, w_rows, _, p in dists:
+        r = w_rows.shape[0]
+        blocks.append((n_var, r, 1 if p == np.inf else dim))
+        n_var += r + blocks[-1][2]
+    rows, rhs = [], []
+
+    def bound(lin, const, epi):
+        # |lin . vars + const| <= vars[epi], as two rows
+        for sgn in (1.0, -1.0):
+            row = sgn * lin
+            row[epi] -= 1.0
+            rows.append(row)
+            rhs.append(-sgn * const)
+
+    for a in functionals:
+        lin = np.zeros(n_var)
+        lin[:k_y] = subspace @ a
+        bound(lin, a @ x, k_y)
+    for (_, w_rows, w, _), (col, r, n_e) in zip(dists, blocks):
+        for i in range(dim):
+            lin = np.zeros(n_var)
+            lin[:k_y] = w[i] * subspace[:, i]
+            lin[col:col + r] = -w[i] * w_rows[:, i]
+            bound(lin, w[i] * x[i], col + r + (0 if n_e == 1 else i))
+    a_ub, b_ub = np.array(rows), np.array(rhs)
+    out = np.zeros(phi.shape[0])
+    for t in range(phi.shape[0]):
+        c_obj = np.zeros(n_var)
+        c_obj[:k_y] = sign * phi[t]
+        c_obj[k_y] = scale[t]
+        for (d, _, _, _), (col, r, n_e) in zip(dists, blocks):
+            c_obj[col + r:col + r + n_e] = d
+        res = linprog(c_obj, A_ub=a_ub, b_ub=b_ub,
+                      bounds=[(None, None)] * n_var, method="highs")
+        assert res.success, res.message
+        out[t] = float(res.fun)
+    return out

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tracefield.extension as ext
 from tracefield.errors import CoercivityError, InputError
 from tracefield.extension import (ExtensionProblem, envelopes, extend_full,
                                   extend_one, radius_bound,
@@ -8,7 +9,7 @@ from tracefield.extension import (ExtensionProblem, envelopes, extend_full,
 from tracefield.generate import extension_instance
 from tracefield.grids import circle_grid, path_grid, refine
 from tracefield.seminorms import (BaseNorm, MaxAbsLinear, ScaledByField,
-                                  ScaledNorm, VectorSpaceModel)
+                                  ScaledNorm, VectorSpaceModel, inf_convolve)
 from tracefield.grids import epsilon_semicontinuity_report, partition_of_unity
 
 from oracles import scan_min_1d, scan_min_2d, tube_tv_lp
@@ -136,6 +137,39 @@ class TestEnvelopes:
 
             expected, _ = scan_min_2d(upper_obj, cert.radius)
             assert pair.upper[t] == pytest.approx(expected, abs=1e-6)
+
+    @pytest.mark.parametrize("kind, seed", [("scaled_norm", 30),
+                                            ("scaled_norm", 31),
+                                            ("max_abs_linear", 32)])
+    def test_every_step_gap_certified(self, kind, seed, monkeypatch):
+        # each envelope of each step carries a gap below 1e-12 (1 + |value|)
+        # and below the solver tolerance
+        pairs = []
+
+        def recording(*args, **kwargs):
+            pairs.append(envelopes(*args, **kwargs))
+            return pairs[-1]
+
+        monkeypatch.setattr(ext, "envelopes", recording)
+        problem = extension_instance(seed, n_nodes=30, dim=5, dim_y=2,
+                                     delta=0.1, margin=0.3, gauge_kind=kind)
+        result = extend_full(problem)
+        assert len(pairs) == 3
+        for pair, step in zip(pairs, result.steps):
+            scale = 1.0 + np.maximum(np.abs(pair.upper), np.abs(pair.lower))
+            assert np.all(pair.gap <= 1e-12 * scale)
+            assert step.gap_max == np.max(pair.gap) <= problem.tols.solver
+
+    def test_inf_convolution_gauge_uses_pattern_search(self):
+        # inf-type gauges have no norm terms: their envelopes still come out,
+        # uncertified
+        problem = sqrt3_problem(n=5)
+        g = problem.grid
+        gauge = inf_convolve(ScaledNorm(2.0, g.n, 2), ScaledNorm(3.0, g.n, 2),
+                             E2[:1])
+        pair = envelopes(problem, E2[1], gauge)
+        assert np.all(np.isinf(pair.gap))
+        assert np.all(np.isfinite(pair.upper)) and pair.gap_min >= 0.0
 
 
 class TestSelection:

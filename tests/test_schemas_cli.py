@@ -94,6 +94,16 @@ class TestRoundTrips:
         assert payload == {"map": {}}
 
 
+    @pytest.mark.parametrize("mask, where", [
+        ([0, float("nan"), 1], r"seminorm\.mask\[1\]"),
+        ([0, 2, 1], r"seminorm\.mask"),
+    ])
+    def test_piecewise_mask_must_be_0_or_1(self, mask, where):
+        part = {"kind": "scaled_norm", "dim": 2, "c": 1.0}
+        with pytest.raises(InputError, match=where):
+            decode_gauge({"kind": "piecewise_nodes", "mask": mask,
+                          "inside": part, "outside": part}, 3)
+
 class TestStrictValidation:
     def test_unknown_key_rejected(self):
         g = encode_grid(path_grid(3))
@@ -134,6 +144,21 @@ class TestStrictValidation:
         with pytest.raises(InputError):
             decode_instance({"version": 1, "kind": "decompose",
                              "extend": {}})
+
+
+def envelope_payload():
+    """A valid three-stage envelope instance on a 6-node (2,) field."""
+    from tracefield.algebra import random_selfadjoint
+    from tracefield.schemas import encode_element
+    phi = smooth_map_field([2], path_grid(6), seed=3, scale=0.5)
+    fam = [M2.unit(), random_selfadjoint(M2, 1), random_selfadjoint(M2, 2)]
+    return {
+        "map": encode_map_field(phi),
+        "chain": [[encode_element(e) for e in fam[:i + 1]] for i in range(3)],
+        "delta_seq": [3.0, 2.5, 2.1],
+        "x": encode_element(random_selfadjoint(M2, 3)),
+        "states": {"count": 12, "seed": 0},
+    }
 
 
 def write_instance(tmp_path, name, obj):
@@ -368,6 +393,25 @@ class TestCLI:
         assert "stage 2 node 4: envelope LP infeasible: constraints need " \
             "weight norm >= " in err
         assert "but the cap is" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("field, value, where", [
+        ("delta_seq", [3.0, float("nan"), 2.1], "envelope.delta_seq[1]"),
+        ("delta_seq", [3.0, -1.0, 2.1], "envelope.delta_seq[1]"),
+        ("count", -4, "envelope.states.count"),
+        ("count", 12.5, "envelope.states.count"),
+        ("seed", float("inf"), "envelope.states.seed"),
+    ])
+    def test_envelope_bad_numbers_name_their_path(self, tmp_path, capsys,
+                                                  field, value, where):
+        payload = envelope_payload()
+        if field == "delta_seq":
+            payload["delta_seq"] = value
+        else:
+            payload["states"][field] = value
+        path = write_instance(tmp_path, "env.json",
+                              encode_instance("envelope", payload))
+        assert main(["envelope", path, "--out", str(tmp_path / "o")]) == 1
+        assert where in capsys.readouterr().err
 
     def test_verify_extend_target(self, tmp_path):
         problem = extension_instance(6, n_nodes=10, dim=3, dim_y=1,

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -213,6 +215,42 @@ class TestBatchedValues:
         Z4 = np.stack([Z, -Z])
         assert bar.values(Z4).shape == (2, 3, N_NODES)
         assert np.max(np.abs(bar.values(Z4)[1] - bar.values(-Z))) <= 1e-12
+
+
+class TestPatternReference:
+    """Quotient, inf-convolution and chain values come from the pattern
+    search alone; they must stay bitwise equal to digests recorded before
+    the subgradient phase and the multistarts were deleted from
+    ``minimize_batched``."""
+
+    @staticmethod
+    def digest(*arrays):
+        h = hashlib.sha256()
+        for a in arrays:
+            h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+        return h.hexdigest()[:16]
+
+    def test_values_match_recorded_digests(self):
+        rng = np.random.default_rng(31)
+        m = ScaledNorm(rng.uniform(1, 2, N_NODES), N_NODES, 3)
+        poly = MaxAbsLinear(rng.standard_normal((4, 3)), N_NODES,
+                            rng.uniform(0.5, 1.5, N_NODES))
+        model = VectorSpaceModel(3, BaseNorm(2.0), np.eye(3)[:2],
+                                 np.eye(3)[2:])
+        Z = rng.standard_normal((2, N_NODES, 3))
+        bar, tilde = quotient_seminorms(m, model, 0.3)
+        pbar, ptilde = quotient_seminorms(poly, model, 0.2)
+        assert self.digest(bar.values(Z), tilde.values(Z), pbar.values(Z),
+                           ptilde.values(Z)) == "0a22b037c1ffa4f8"
+        ic = inf_convolve(m, ScaledNorm(1.5, N_NODES, 3), np.eye(3)[:2])
+        ic2 = inf_convolve(poly, m, np.eye(3)[1:])
+        assert self.digest(ic.values(Z), ic2.values(Z)) == "9cf996d03210c051"
+        masks = [np.arange(N_NODES) < 4, np.arange(N_NODES) < 2]
+        chain = balanced_chain(m, model, 0.3, masks,
+                               [np.eye(3)[:1], np.eye(3)[:2]],
+                               rng.standard_normal((2, 3)))
+        assert self.digest(chain.stage_values, chain.tilde_values) \
+            == "417f0265f0cebf10"
 
 
 class TestInfConvolve:

@@ -2,15 +2,19 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from tracefield.solvers import (SolverError, intersect_rowspaces,
-                                minimize_batched, nullspace_rows,
-                                orthonormal_rows, taut_string_cycle,
-                                taut_string_path, total_variation,
-                                tube_tv_graph)
-
+from tracefield.extension import envelopes
+from tracefield.generate import extension_instance
 from tracefield.grids import Grid
+from tracefield.seminorms import (AugmentedGauge, BaseNorm, SubspaceDistance,
+                                  VectorSpaceModel)
+from tracefield.solvers import (NormTerm, SolverError, intersect_rowspaces,
+                                minimize_batched, minimize_norm_sum,
+                                nullspace_rows, orthonormal_rows,
+                                taut_string_cycle, taut_string_path,
+                                total_variation, tube_tv_graph)
 
-from oracles import cycle_flat_bottom, tube_tv_lp
+from oracles import (augmented_max_abs_lp, cycle_flat_bottom,
+                     max_abs_envelope_lp, tube_tv_lp)
 
 
 def random_tube(seed, n, drift=0.3):
@@ -242,12 +246,7 @@ class TestMinimizeBatched:
         def fun(y):
             return np.linalg.norm(y - targets, axis=-1)
 
-        def sub(y):
-            d = y - targets
-            n = np.linalg.norm(d, axis=-1, keepdims=True)
-            return d / np.maximum(n, 1e-300)
-
-        y, v = minimize_batched(fun, sub, 2, 3, radius=2.0)
+        y, v = minimize_batched(fun, 2, 3, radius=2.0)
         assert np.max(v) <= 1e-8
         assert np.max(np.abs(y - targets)) <= 1e-7
 
@@ -257,13 +256,11 @@ class TestMinimizeBatched:
         def fun(y):
             return np.sum(np.abs(y - target), axis=-1)
 
-        y, v = minimize_batched(fun, None, 2, 1, radius=2.0)
+        y, v = minimize_batched(fun, 2, 1, radius=2.0)
         assert v[0] <= 1e-8
 
-
-    @pytest.mark.parametrize("with_sub, rounds",
-                             [(False, 300), (True, 300), (False, 12)])
-    def test_batch_equals_problems_solved_alone(self, with_sub, rounds):
+    @pytest.mark.parametrize("rounds", [300, 12])
+    def test_batch_equals_problems_solved_alone(self, rounds):
         # independent problems, one per node, each with its own radius
         rng = np.random.default_rng(3)
         targets = rng.uniform(-3, 3, (5, 2))
@@ -275,24 +272,180 @@ class TestMinimizeBatched:
             def fun(y):
                 return np.sum(weights[rows] * np.abs(y - targets[rows]),
                               axis=-1) + 0.1 * np.linalg.norm(y, axis=-1)
+            return fun
 
-            def sub(y):
-                n = np.linalg.norm(y, axis=-1, keepdims=True)
-                return (weights[rows] * np.sign(y - targets[rows])
-                        + 0.1 * y / np.maximum(n, 1e-300))
-            return fun, sub if with_sub else None
-
-        fun, sub = problem(slice(None))
-        y, v = minimize_batched(fun, sub, 2, 5, radius, n_iter=40, y0=y0,
+        y, v = minimize_batched(problem(slice(None)), 2, 5, radius, y0=y0,
                                 polish_rounds=rounds)
         for i in range(5):
-            fun_i, sub_i = problem(slice(i, i + 1))
-            y_i, v_i = minimize_batched(fun_i, sub_i, 2, 1, radius[i],
-                                        n_iter=40, y0=y0[i:i + 1],
+            y_i, v_i = minimize_batched(problem(slice(i, i + 1)), 2, 1,
+                                        radius[i], y0=y0[i:i + 1],
                                         polish_rounds=rounds)
             assert np.array_equal(y[i:i + 1], y_i)
             assert np.array_equal(v[i:i + 1], v_i)
         assert np.all(np.linalg.norm(y, axis=-1) <= radius * (1 + 1e-12))
+
+
+def assert_certified(value, lower):
+    """The certified gap closes to 1e-12 relative at every node."""
+    assert np.all(np.isfinite(lower))
+    assert np.all(value - lower <= 1e-12 * (1.0 + np.abs(value)))
+
+
+def kink_problem(c, phi, delta):
+    """c ||(v, 1)|| + delta ||v|| + phi . v over v in R^2 (and the ball
+    ||v|| <= 50): the delta term vanishes at v = 0.  The minimum is c for
+    ||phi|| <= delta and sqrt(c² - (||phi|| - delta)²) otherwise."""
+    n = len(c)
+    lift = np.zeros((1, 1, 3, 2))
+    lift[0, 0, :2] = np.eye(2)
+    terms = [NormTerm(np.asarray(c, dtype=float), lift,
+                      np.array([[[0.0, 0.0, 1.0]]])),
+             NormTerm(np.full(n, delta), np.eye(2)[None, None],
+                      np.zeros((1, 1, 2)))]
+    excess = np.maximum(np.linalg.norm(phi, axis=1) - delta, 0.0)
+    return terms, np.sqrt(np.asarray(c) ** 2 - excess ** 2)
+
+
+class TestMinimizeNormSum:
+    def test_batch_equals_problems_solved_alone(self):
+        rng = np.random.default_rng(5)
+        n = 7
+        A = rng.standard_normal((n, 2, 3, 2))
+        terms = [NormTerm(rng.uniform(0.5, 2.0, n), A,
+                          rng.standard_normal((n, 2, 3))),
+                 NormTerm(rng.uniform(0.5, 2.0, n),
+                          rng.standard_normal((1, 4, 1, 2)),
+                          rng.standard_normal((1, 4, 1)), maxabs=True)]
+        g = rng.standard_normal((n, 2))
+        v, value, lower = minimize_norm_sum(terms, g, np.eye(2), 30.0)
+        assert_certified(value, lower)
+        for i in range(n):
+            alone = [NormTerm(t.weight[i:i + 1],
+                              t.A if t.A.shape[0] == 1 else t.A[i:i + 1],
+                              t.b if t.b.shape[0] == 1 else t.b[i:i + 1],
+                              t.maxabs) for t in terms]
+            out = minimize_norm_sum(alone, g[i:i + 1], np.eye(2), 30.0)
+            for got, want in zip(out, (v, value, lower)):
+                assert np.array_equal(got, want[i:i + 1])
+
+    def test_kink_at_the_origin(self):
+        # the optimum sits at the kink v = 0 of the delta term exactly when
+        # ||phi|| <= delta, including the boundary case
+        delta = 0.1
+        phi = np.array([[0.0, 0.0], [0.05, -0.02], [0.06, 0.08],
+                        [0.06 * (1 - 1e-9), 0.08], [0.3, -0.4], [0.0, 0.11]])
+        c = np.linspace(1.0, 2.0, len(phi))
+        terms, expected = kink_problem(c, phi, delta)
+        v, value, lower = minimize_norm_sum(terms, phi, np.eye(2), 50.0)
+        assert_certified(value, lower)
+        assert np.max(np.abs(value - expected)) <= 1e-12
+        assert np.max(np.abs(v[:4])) <= 1e-9
+
+    def test_term_vanishing_on_a_line(self):
+        # 2 |v1 - v2| + ||v - p||: the optimum is the projection of p onto
+        # the line v1 = v2, where the first term has its kink
+        p = np.array([0.3, -0.5])
+        terms = [NormTerm(np.array([2.0]), np.array([[[[1.0, -1.0]]]]),
+                          np.zeros((1, 1, 1))),
+                 NormTerm(np.array([1.0]), np.eye(2)[None, None],
+                          -p[None, None])]
+        v, value, lower = minimize_norm_sum(terms, np.zeros((1, 2)),
+                                            np.eye(2), 10.0)
+        assert_certified(value, lower)
+        assert value[0] == pytest.approx(0.8 / np.sqrt(2.0), abs=1e-12)
+        assert np.max(np.abs(v[0] + 0.1)) <= 1e-9
+
+    def test_zero_weights_drop_their_terms(self):
+        rng = np.random.default_rng(8)
+        n = 4
+        base = NormTerm(np.full(n, 1.5), rng.standard_normal((1, 1, 3, 2)),
+                        rng.standard_normal((1, 1, 3)))
+        g = 0.3 * rng.standard_normal((n, 2))
+        _, want, _ = minimize_norm_sum([base], g, np.eye(2), 40.0)
+        zero = np.zeros(n)
+        extra = [NormTerm(zero, rng.standard_normal((1, 1, 2, 2)),
+                          rng.standard_normal((1, 1, 2))),
+                 NormTerm(zero, rng.standard_normal((1, 3, 1, 2)),
+                          rng.standard_normal((1, 3, 1)), maxabs=True)]
+        _, value, lower = minimize_norm_sum([base] + extra, g, np.eye(2),
+                                            40.0)
+        assert_certified(value, lower)
+        assert np.max(np.abs(value - want)) <= 1e-12
+
+    def test_gauge_vanishing_on_the_subspace(self):
+        # no term is alive: the minimum of g . v over the ball of radius 2
+        g = np.array([[0.3, 0.4], [0.0, 0.0]])
+        terms = [NormTerm(np.zeros(2), np.eye(2)[None, None],
+                          np.ones((1, 1, 2)))]
+        _, value, lower = minimize_norm_sum(terms, g, np.eye(2), 2.0)
+        assert_certified(value, lower)
+        assert value == pytest.approx([-1.0, 0.0], abs=1e-12)
+
+    def test_max_abs_envelopes_match_lp(self):
+        problem = extension_instance(21, n_nodes=12, dim=4, dim_y=2,
+                                     delta=0.1, margin=0.3,
+                                     gauge_kind="max_abs_linear")
+        x = problem.model.complement[0]
+        pair = envelopes(problem, x)
+        gauge = problem.gauge
+        args = (problem.model.subspace, problem.phi, x, gauge.functionals,
+                gauge.scale)
+        upper = max_abs_envelope_lp(*args, -1.0)
+        lower = -max_abs_envelope_lp(*args, +1.0)
+        assert np.max(np.abs(pair.upper - upper)) <= 1e-8
+        assert np.max(np.abs(pair.lower - lower)) <= 1e-8
+        scale = 1.0 + np.maximum(np.abs(pair.upper), np.abs(pair.lower))
+        assert np.all(pair.gap <= 1e-12 * scale)
+
+    def augmented(self, norm):
+        problem = extension_instance(22, n_nodes=6, dim=3, dim_y=1,
+                                     delta=0.1, margin=0.3,
+                                     gauge_kind="max_abs_linear")
+        rows = problem.model.complement
+        dists = [(0.1, rows), (0.05, rows[1:])]
+        gauge = AugmentedGauge(problem.gauge, [
+            (d, SubspaceDistance(w, norm)) for d, w in dists])
+        x = rows[0]
+        return problem, gauge, x, envelopes(problem, x, gauge, 4.0), dists
+
+    def test_augmented_max_abs_matches_scan(self):
+        # k_Y = 1: a dense scan, then a ternary refinement per node
+        problem, gauge, x, pair, _ = self.augmented(BaseNorm(2.0))
+        b, phi = problem.model.subspace[0], problem.phi[:, 0]
+        n = problem.grid.n
+
+        def objective(s, sign):          # s: (..., n) -> (..., n)
+            return gauge.values(s[..., None] * b + x) + sign * s * phi
+
+        grid = np.broadcast_to(np.linspace(-4.0, 4.0, 8001)[:, None],
+                               (8001, n))
+        for sign, got in ((-1.0, pair.upper), (1.0, -pair.lower)):
+            i = np.argmin(objective(grid, sign), axis=0)
+            lo = grid[np.maximum(i - 1, 0), 0]
+            hi = grid[np.minimum(i + 1, 8000), 0]
+            for _ in range(100):
+                m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+                left = objective(m1, sign) <= objective(m2, sign)
+                lo, hi = np.where(left, lo, m1), np.where(left, m2, hi)
+            want = objective(0.5 * (lo + hi), sign)
+            assert np.max(np.abs(got - want)) <= 1e-8
+        scale = 1.0 + np.maximum(np.abs(pair.upper), np.abs(pair.lower))
+        assert np.all(pair.gap <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("p", [1.0, float("inf")])
+    def test_polyhedral_distances_match_lp(self, p):
+        # l1 / l-inf distance terms bring their own subspace coordinates
+        w = np.array([1.0, 0.5, 2.0])
+        problem, gauge, x, pair, dists = self.augmented(BaseNorm(p, w))
+        base = problem.gauge
+        args = (problem.model.subspace, problem.phi, x, base.functionals,
+                base.scale, [(d, rows, w, p) for d, rows in dists])
+        assert np.max(np.abs(pair.upper - augmented_max_abs_lp(*args, -1.0))) \
+            <= 1e-8
+        assert np.max(np.abs(pair.lower + augmented_max_abs_lp(*args, 1.0))) \
+            <= 1e-8
+        scale = 1.0 + np.maximum(np.abs(pair.upper), np.abs(pair.lower))
+        assert np.all(pair.gap <= 1e-12 * scale)
 
 
 class TestRowspaceHelpers:
