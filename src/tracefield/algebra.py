@@ -161,62 +161,6 @@ def op_norm(x: Element) -> float:
     return best
 
 
-def functional_norm(rho: FunctionalRep) -> float:
-    """Norm of a selfadjoint functional: sum of |eigenvalues| of the pairing
-    matrices (the trace norm of the representing tuple)."""
-    total = 0.0
-    for b, m in enumerate(rho.blocks):
-        w, _ = _eigh(m, f"functional_norm block {b}")
-        total += float(np.sum(np.abs(w)))
-    return total
-
-
-def split_hermitian(mat: np.ndarray, eig_zero: float):
-    """Spectral sign split of one Hermitian matrix.
-
-    Returns ``(plus, minus)`` with ``mat = plus - minus``, both positive
-    semidefinite with orthogonal supports.  Eigenvalues within ``eig_zero``
-    of zero are assigned to neither part.
-    """
-    w, u = _eigh(mat, "split_hermitian")
-    wp = np.where(w > eig_zero, w, 0.0)
-    wm = np.where(w < -eig_zero, -w, 0.0)
-    plus = (u * wp) @ u.conj().T
-    minus = (u * wm) @ u.conj().T
-    return plus, minus
-
-
-def jordan_decompose_functional(rho: FunctionalRep, tols: Tolerances = DEFAULT_TOLS):
-    """Minimal split of a functional into positive and negative parts.
-
-    Returns ``(rho_plus, rho_minus)`` with ``rho = rho_plus - rho_minus``,
-    both parts positive semidefinite per block, supports orthogonal, and
-
-        trace(rho_plus) + trace(rho_minus) = functional_norm(rho)
-
-    up to the kernel threshold.
-    """
-    plus, minus = [], []
-    for m in rho.blocks:
-        p, q = split_hermitian(m, tols.eig_zero)
-        plus.append(p)
-        minus.append(q)
-    return (FunctionalRep(rho.algebra, plus), FunctionalRep(rho.algebra, minus))
-
-
-def support_projection(rho: FunctionalRep, part: str = "minus",
-                       tols: Tolerances = DEFAULT_TOLS) -> Element:
-    """Spectral projection onto the strictly negative (or positive) part."""
-    sign = -1.0 if part == "minus" else 1.0
-    blocks = []
-    for b, m in enumerate(rho.blocks):
-        w, u = _eigh(m, f"support_projection block {b}")
-        sel = (sign * w) > tols.eig_zero
-        blocks.append((u[:, sel] @ u[:, sel].conj().T) if np.any(sel)
-                      else np.zeros_like(m))
-    return Element(rho.algebra, blocks, selfadjoint=True)
-
-
 def random_selfadjoint(descriptor: AlgebraDescriptor, seed,
                        scale: float = 1.0) -> Element:
     """Seeded random selfadjoint element (Gaussian entries, symmetrized)."""

@@ -29,7 +29,7 @@ from .reports import write_csv, write_json
 from .schemas import (decode_element, decode_extension_problem,
                       decode_instance, decode_map_field,
                       encode_extension_problem, encode_instance,
-                      encode_map_field, _expect, _floats, _integer)
+                      encode_map_field, _expect, _floats, _integer, _scalar)
 from .solvers import SolverError
 from .statespace import envelope_field, sample_state_space
 
@@ -247,8 +247,11 @@ def _cmd_verify(args, tols):
         phi = decode_map_field(payload["map"])
         if "epsilon" not in payload:
             raise InputError("verify.absolute_continuity needs 'epsilon'")
-        rep = is_absolutely_continuous(phi, float(payload["epsilon"]),
-                                       payload.get("cutoff"))
+        cutoff = payload.get("cutoff")
+        if cutoff is not None:
+            cutoff = _scalar(cutoff, "verify.cutoff")
+        rep = is_absolutely_continuous(
+            phi, _scalar(payload["epsilon"], "verify.epsilon"), cutoff)
         ok = rep.passes
         report["results"] = {
             "target": target, "passes": ok,

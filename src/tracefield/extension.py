@@ -281,18 +281,6 @@ def _pattern_envelopes(problem, x, gauge, radius):
                         np.full(n, np.inf))
 
 
-def envelope_lower(problem: ExtensionProblem, x, **kwargs) -> np.ndarray:
-    """Field of greatest admissible values at the new direction (the
-    nodewise supremum of ``phi(y) - m(y - x)``)."""
-    return envelopes(problem, x, **kwargs).lower
-
-
-def envelope_upper(problem: ExtensionProblem, x, **kwargs) -> np.ndarray:
-    """Field of least admissible values at the new direction (the nodewise
-    infimum of ``-phi(y) + m(y + x)``)."""
-    return envelopes(problem, x, **kwargs).upper
-
-
 def select_continuous(lower, upper, grid: Grid, tols: Tolerances = DEFAULT_TOLS):
     """Total-variation-minimal selection inside a tube, ties to the midpoint.
 

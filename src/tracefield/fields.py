@@ -146,35 +146,6 @@ def is_absolutely_continuous(phi: MapField, epsilon: float,
                                     defect, cutoff)
 
 
-def compress(phi: MapField, h: Element) -> MapField:
-    """Field of the compressed maps x -> phi(h x) (symmetrized pairing).
-
-    Per block the new pairing matrix is ``(h rho + rho h) / 2``, which keeps
-    functionals selfadjoint.  For commutative algebras this is plain
-    multiplication by the weight vector of h, and only there do the
-    compressed norms reproduce the positive/negative parts evaluated at h.
-    Requires ``0 <= h <= 1`` spectrally.
-    """
-    if not h.selfadjoint:
-        raise AlgebraError("compress expects a selfadjoint h")
-    for b, m in enumerate(h.blocks):
-        w = np.linalg.eigvalsh(m)
-        if w.size and (w.min() < -phi.tols.eig_zero
-                       or w.max() > 1 + phi.tols.eig_zero):
-            raise AlgebraError(
-                f"compress: block {b} spectrum [{w.min():.3e}, {w.max():.3e}] "
-                "outside [0, 1]")
-    stacks = [0.5 * (np.einsum("ij,njk->nik", m, s)
-                     + np.einsum("nij,jk->nik", s, m))
-              for s, m in zip(phi.stacks, h.blocks)]
-    return MapField(phi.grid, phi.algebra, stacks)
-
-
-def compress_norm_field(phi: MapField, h: Element) -> np.ndarray:
-    """Pointwise norms of the compressed field, as one batched computation."""
-    return pointwise_norm(compress(phi, h))
-
-
 def refine_map_field(phi: MapField, fine_grid: Grid, prolong) -> MapField:
     """Transfer a map field to a refined grid by linear interpolation.
 

@@ -3,7 +3,7 @@
 A grid is a connected weighted graph with an optional set of designated
 "infinity" nodes; fields are plain ``(n,)`` numpy arrays indexed by node id.
 Continuity-type statements are always *measured* on the grid (edge jumps,
-semicontinuity defects, refinement trends), never assumed.
+refinement trends), never assumed.
 """
 
 from __future__ import annotations
@@ -184,68 +184,3 @@ def modulus_of_continuity(g, grid: Grid) -> ContinuityModulus:
     jumps = np.abs(g[grid.edges[:, 0]] - g[grid.edges[:, 1]])
     return ContinuityModulus(float(np.max(jumps / grid.lengths)),
                              float(np.max(jumps)))
-
-
-def epsilon_semicontinuity_report(g, grid: Grid, direction: str):
-    """Per-node one-sided jump defects.
-
-    For ``direction="upper"`` the defect at node t is the largest upward jump
-    ``max(g(s) - g(t), 0)`` to a neighbor s; for "lower" it is the largest
-    downward jump.  A function with small upper defects is, on this grid, the
-    measurable surrogate of an upper semicontinuous function.
-    """
-    if direction not in ("upper", "lower"):
-        raise GridError("direction must be 'upper' or 'lower'")
-    g = grid.check_field(g)
-    sign = 1.0 if direction == "upper" else -1.0
-    defect = np.zeros(grid.n)
-    for t in range(grid.n):
-        for s, _ in grid.neighbors(t):
-            defect[t] = max(defect[t], sign * (g[s] - g[t]))
-    defect = np.maximum(defect, 0.0)
-    return defect, float(np.max(defect)) if grid.n else 0.0
-
-
-def partition_of_unity(grid: Grid, cover) -> list:
-    """Bump-function partition subordinate to a cover by node sets.
-
-    Each field is the graph distance to the complement of its cover set
-    (zero outside the set), normalized so the family sums to one at every
-    node.  Raises when the cover does not cover every node.
-    """
-    cover = [sorted(set(int(i) for i in part)) for part in cover]
-    covered = set()
-    for part in cover:
-        covered.update(part)
-    if covered != set(range(grid.n)):
-        missing = sorted(set(range(grid.n)) - covered)
-        raise GridError(f"cover misses nodes {missing[:8]}")
-    bumps = []
-    for part in cover:
-        inside = np.zeros(grid.n, dtype=bool)
-        inside[part] = True
-        complement = [i for i in range(grid.n) if not inside[i]]
-        if complement:
-            d = grid.distances_from(complement)
-            bump = np.where(inside, d, 0.0)
-        else:
-            bump = np.ones(grid.n)
-        bumps.append(bump)
-    total = np.sum(bumps, axis=0)
-    if np.any(total <= 0):
-        raise GridError("cover has a node with zero total bump weight")
-    return [b / total for b in bumps]
-
-
-def cb_membership(g, grid: Grid, cutoff: float = 1e-6):
-    """Check membership in the cone of admissible positive fields.
-
-    Admissible means nonnegative everywhere, and no larger than ``cutoff``
-    at the designated infinity nodes.  Returns (ok, report dict).
-    """
-    g = grid.check_field(g)
-    min_val = float(np.min(g))
-    inf_max = float(np.max(g[list(grid.infinity)])) if grid.infinity else 0.0
-    ok = (min_val >= -1e-14) and (inf_max <= cutoff)
-    return ok, {"min_value": min_val, "infinity_max": inf_max,
-                "cutoff": cutoff}

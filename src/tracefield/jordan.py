@@ -10,12 +10,11 @@ discontinuity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (AlgebraDescriptor, AlgebraError, Element, FunctionalRep,
-                      _eigh, random_contraction, support_projection)
+from .algebra import AlgebraDescriptor, Element, _eigh, random_contraction
 from .config import Tolerances, DEFAULT_TOLS
 from .fields import (MapField, evaluate, pointwise_norm, refine_map_field)
 from .grids import modulus_of_continuity, refine
@@ -80,20 +79,6 @@ def verify_norm_additivity(result: DecompositionResult) -> float:
                                - result.norms_minus)))
 
 
-def separator(rho: FunctionalRep, eps: float = 0.0,
-              tols: Tolerances = DEFAULT_TOLS) -> Element:
-    """Positive contraction nearly splitting the two parts of a functional.
-
-    Returns the support projection K of the negative part: 0 <= K <= 1,
-    the positive part pairs to zero with K and the negative part pairs to
-    zero with 1 - K (exactly, by orthogonality of the spectral supports;
-    ``eps`` is accepted for interface compatibility and only enters the
-    contract as an upper bound).
-    """
-    del eps  # the finite construction achieves the bounds exactly
-    return support_projection(rho, "minus", tols)
-
-
 def default_test_elements(algebra: AlgebraDescriptor, seed=_TEST_ELEMENT_SEED):
     """Unit, a random contraction h with 0 <= h <= 1, and 1 - h."""
     one = algebra.unit()
@@ -151,85 +136,3 @@ def continuity_report(result: DecompositionResult, test_elements=None,
     min_ratio = float(np.min(ratios)) if ratios.size else np.inf
     return ContinuityReport(names, jumps, ratios, min_ratio,
                             bool(min_ratio >= min_factor))
-
-
-@dataclass(frozen=True)
-class DeltaContinuityReport:
-    delta: float
-    norm_modulus: float
-    max_violation: float     # positive means the bound failed somewhere
-    tightness: float         # largest jump / bound ratio observed
-    passes: bool
-
-
-def delta_continuity_report(phi: MapField, delta: float, test_elements=None,
-                            tols: Tolerances = DEFAULT_TOLS) -> DeltaContinuityReport:
-    """Check the edge-jump bound of the split parts against the budget.
-
-    For every adjacent node pair and test element x the report compares
-    ``|part(x)(s) - part(x)(t)|`` with ``delta ||x|| + w ||x|| + 1e-8``
-    where w is the measured raw jump modulus of the norm field.  This is a
-    report, not a guard: violations are returned, never raised.
-    """
-    from .algebra import op_norm
-
-    result = decompose_map(phi, tols)
-    if test_elements is None:
-        test_elements = default_test_elements(phi.algebra)
-    w = modulus_of_continuity(result.norms, phi.grid).max_jump
-    edges = phi.grid.edges
-    max_violation, tightness = -np.inf, 0.0
-    for _, x in test_elements:
-        bound = (delta + w) * op_norm(x) + 1e-8
-        for part in (result.plus, result.minus):
-            vals = evaluate(part, x)
-            jump = float(np.max(np.abs(vals[edges[:, 0]] - vals[edges[:, 1]]))) \
-                if edges.size else 0.0
-            max_violation = max(max_violation, jump - bound)
-            if bound > 0:
-                tightness = max(tightness, jump / bound)
-    return DeltaContinuityReport(delta, w, float(max_violation),
-                                 float(tightness), bool(max_violation <= 0))
-
-
-@dataclass(frozen=True)
-class LocalityVerdict:
-    passes: bool
-    max_residual: float
-    weights: np.ndarray       # c(t) read off the diagonal input
-    weights_plus: np.ndarray
-    weights_minus: np.ndarray
-
-
-def locality_check(result: DecompositionResult,
-                   tols: Tolerances = DEFAULT_TOLS) -> LocalityVerdict:
-    """For diagonal inputs, the split must act by the split weights.
-
-    Requires the algebra to be the functions on the grid itself and the
-    node-t functional to be supported on coordinate t (multiplication by a
-    weight field c).  Verifies that the two parts are the multiplications
-    by the positive and negative parts of c.
-    """
-    phi = result.phi
-    n = phi.grid.n
-    if phi.algebra.blocks != (1,) * n:
-        raise AlgebraError("locality check expects the grid's function algebra")
-    weights = np.zeros(n)
-    for t in range(n):
-        row = np.array([phi.stacks[b][t, 0, 0] for b in range(n)])
-        off = np.abs(np.delete(row, t)).max() if n > 1 else 0.0
-        if off > tols.residual:
-            raise AlgebraError(
-                f"input not in diagonal form: off-diagonal weight {off:.3e} "
-                f"at node {t}")
-        weights[t] = row[t].real
-
-    w_plus = np.maximum(weights, 0.0)
-    w_minus = np.maximum(-weights, 0.0)
-    resid = 0.0
-    for t in range(n):
-        p = result.plus.stacks[t][t, 0, 0].real
-        q = result.minus.stacks[t][t, 0, 0].real
-        resid = max(resid, abs(p - w_plus[t]), abs(q - w_minus[t]))
-    return LocalityVerdict(bool(resid <= tols.residual), float(resid),
-                           weights, w_plus, w_minus)

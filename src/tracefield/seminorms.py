@@ -709,49 +709,6 @@ class VectorSpaceModel:
         return isinstance(self.nilspace, list)
 
 
-def validate_nilspace(m: Gauge, model: VectorSpaceModel, tol=1e-10):
-    """Check that every declared nilspace direction has zero gauge value."""
-    worst = 0.0
-    for t in range(m.n_nodes):
-        rows = model.nilspace_at(t)
-        for v in rows:
-            vals, _ = m.value_nodes(v)
-            worst = max(worst, float(vals[t]))
-    if worst > tol:
-        raise SeminormError(
-            f"declared nilspace direction has gauge value {worst:.3e}")
-    return worst
-
-
-def eval_seminorm(m: Gauge, z, t: int) -> float:
-    """Gauge value of one vector at one node."""
-    vals, _ = m.value_nodes(np.asarray(z, dtype=float))
-    return float(vals[t])
-
-
-def build_m_delta(m: Gauge, model: VectorSpaceModel, delta: float,
-                  auto_nilspace: bool = False) -> AugmentedGauge:
-    """Augment a gauge by delta times the distance to complement + nilspace.
-
-    The distance is taken in the model's base norm: orthogonal projection
-    for p = 2, a linear program for p = 1 and p = inf.  With
-    ``auto_nilspace`` the per-node nilspace is read off the gauge itself.
-    """
-    if not delta > 0:
-        raise SeminormError("build_m_delta needs delta > 0")
-    if auto_nilspace:
-        dists = [SubspaceDistance(
-            np.vstack([model.complement, m.nilspace_basis(t)]), model.norm)
-            for t in range(m.n_nodes)]
-        dist = dists
-    elif model.per_node_nilspace():
-        dist = [SubspaceDistance(model.quotient_rows(t), model.norm)
-                for t in range(m.n_nodes)]
-    else:
-        dist = SubspaceDistance(model.quotient_rows(0), model.norm)
-    return AugmentedGauge(m, [(float(delta), dist)])
-
-
 def quotient_seminorms(m: Gauge, model: VectorSpaceModel, delta: float,
                        oracle: bool = False):
     """The two quotient constructions over W = complement + nilspace.
@@ -768,71 +725,6 @@ def quotient_seminorms(m: Gauge, model: VectorSpaceModel, delta: float,
 def inf_convolve(m1: Gauge, m2: Gauge, f_rows, oracle: bool = False) -> InfConv:
     """Nodewise inf-convolution over the subspace spanned by ``f_rows``."""
     return InfConv(m1, m2, f_rows, oracle=oracle)
-
-
-@dataclass(frozen=True)
-class LocalFinitenessVerdict:
-    condition: str            # "condition_i" | "condition_ii" | "fail"
-    witness: dict
-    minimal_core_dim: int | None = None
-
-
-def check_locally_finite(m: Gauge, model: VectorSpaceModel, grid, t0: int,
-                         eps: float, radius: float = None,
-                         tol: float = 1e-10) -> LocalFinitenessVerdict:
-    """Classify the local structure of a gauge near a node.
-
-    condition_i: every complement basis vector has gauge value below ``eps``
-    on the whole radius-neighbourhood of ``t0`` (checked nonvacuously).
-
-    condition_ii: reported when the complement is trivial, or when the
-    subspace contains a nontrivial part on which the gauge vanishes across
-    the neighbourhood; the witness carries a basis of that part together
-    with the minimal dimension of the complementary core, which is the
-    meaningful finite-dimensional surrogate here.
-
-    fail: condition (i) fails on a nontrivial complement and no subspace
-    direction vanishes; the witness names the offending vector.
-    """
-    if radius is None:
-        radius = float(np.mean(grid.lengths)) * 2.0 if grid.edges.size else 0.0
-    dist = grid.distances_from([t0])
-    hood = [int(i) for i in np.flatnonzero(dist <= radius + 1e-12)]
-
-    worst_val, worst_vec, worst_node = -1.0, None, None
-    if model.complement.shape[0]:
-        for x in model.complement:
-            vals, _ = m.value_nodes(x)
-            local = vals[hood]
-            j = int(np.argmax(local))
-            if local[j] > worst_val:
-                worst_val, worst_vec, worst_node = float(local[j]), x, hood[j]
-        if worst_val < eps:
-            return LocalFinitenessVerdict(
-                "condition_i",
-                {"neighbourhood": hood, "max_value": worst_val, "eps": eps})
-
-    # maximal vanishing part of the subspace across the neighbourhood
-    vanishing = model.subspace
-    for t in hood:
-        vanishing = intersect_rowspaces(vanishing, m.nilspace_basis(t, tol))
-        if vanishing.shape[0] == 0:
-            break
-    core_dim = model.subspace.shape[0] - vanishing.shape[0]
-
-    if model.complement.shape[0] == 0 or vanishing.shape[0] > 0:
-        return LocalFinitenessVerdict(
-            "condition_ii",
-            {"neighbourhood": hood, "vanishing_basis": vanishing,
-             "core_dim": core_dim,
-             "vacuous": bool(vanishing.shape[0] == 0)},
-            minimal_core_dim=core_dim)
-
-    return LocalFinitenessVerdict(
-        "fail",
-        {"neighbourhood": hood, "counterexample": worst_vec,
-         "value": worst_val, "node": worst_node},
-        minimal_core_dim=core_dim)
 
 
 # ---------------------------------------------------------------------------

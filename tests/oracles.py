@@ -3,10 +3,15 @@
 Everything here is written against the raw mathematical definitions
 (characteristic polynomials, corner/dense enumeration, direct linear
 programs), sharing no optimization code with the package paths it checks.
+The grid measurements at the end (one-sided jump defects, partitions of
+unity) are what tests use to check refinement trends and patchwise
+extensions.
 """
 
 import numpy as np
 from scipy.optimize import linprog
+
+from tracefield.grids import Grid, GridError
 
 
 def eigvals_2x2(mat):
@@ -229,3 +234,54 @@ def augmented_max_abs_lp(subspace, phi, x, functionals, scale, dists, sign):
         assert res.success, res.message
         out[t] = float(res.fun)
     return out
+
+
+def epsilon_semicontinuity_report(g, grid: Grid, direction: str):
+    """Per-node one-sided jump defects.
+
+    For ``direction="upper"`` the defect at node t is the largest upward jump
+    ``max(g(s) - g(t), 0)`` to a neighbor s; for "lower" it is the largest
+    downward jump.  A function with small upper defects is, on this grid, the
+    measurable surrogate of an upper semicontinuous function.
+    """
+    if direction not in ("upper", "lower"):
+        raise GridError("direction must be 'upper' or 'lower'")
+    g = grid.check_field(g)
+    sign = 1.0 if direction == "upper" else -1.0
+    defect = np.zeros(grid.n)
+    for t in range(grid.n):
+        for s, _ in grid.neighbors(t):
+            defect[t] = max(defect[t], sign * (g[s] - g[t]))
+    defect = np.maximum(defect, 0.0)
+    return defect, float(np.max(defect)) if grid.n else 0.0
+
+
+def partition_of_unity(grid: Grid, cover) -> list:
+    """Bump-function partition subordinate to a cover by node sets.
+
+    Each field is the graph distance to the complement of its cover set
+    (zero outside the set), normalized so the family sums to one at every
+    node.  Raises when the cover does not cover every node.
+    """
+    cover = [sorted(set(int(i) for i in part)) for part in cover]
+    covered = set()
+    for part in cover:
+        covered.update(part)
+    if covered != set(range(grid.n)):
+        missing = sorted(set(range(grid.n)) - covered)
+        raise GridError(f"cover misses nodes {missing[:8]}")
+    bumps = []
+    for part in cover:
+        inside = np.zeros(grid.n, dtype=bool)
+        inside[part] = True
+        complement = [i for i in range(grid.n) if not inside[i]]
+        if complement:
+            d = grid.distances_from(complement)
+            bump = np.where(inside, d, 0.0)
+        else:
+            bump = np.ones(grid.n)
+        bumps.append(bump)
+    total = np.sum(bumps, axis=0)
+    if np.any(total <= 0):
+        raise GridError("cover has a node with zero total bump weight")
+    return [b / total for b in bumps]

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tracefield.algebra import (AlgebraDescriptor, AlgebraError, Element,
-                                FunctionalRep, functional_norm,
-                                jordan_decompose_functional, op_norm,
-                                random_functional, random_selfadjoint,
-                                random_state, support_projection)
+                                FunctionalRep, op_norm, random_functional,
+                                random_selfadjoint, random_state)
+from tracefield.fields import constant_map_field, pointwise_norm
+from tracefield.grids import Grid
+from tracefield.jordan import split_map
 
 from oracles import commutative_functional_norm, eigvals_2x2
 
@@ -22,6 +23,21 @@ def elem(descriptor, *mats):
 def func(descriptor, *mats):
     return FunctionalRep(descriptor, [np.asarray(m, dtype=complex)
                                       for m in mats])
+
+
+POINT = Grid("graph", 1, [], [])
+
+
+def one_node_norm(rho):
+    """Norm of one functional, read off a one-node map field."""
+    return float(pointwise_norm(constant_map_field(POINT, rho))[0])
+
+
+def one_node_split(rho):
+    """Positive and negative parts of one functional, read off the split of
+    a one-node map field."""
+    return tuple(FunctionalRep(rho.algebra, [s[0] for s in part.stacks])
+                 for part in split_map(constant_map_field(POINT, rho)))
 
 
 class TestDescriptors:
@@ -75,27 +91,27 @@ class TestFunctionalNorm:
     def test_commutative_corner_oracle(self):
         rho = func(C2, [[1]], [[-2]])
         assert commutative_functional_norm([1, -2]) == pytest.approx(3.0)
-        assert functional_norm(rho) == pytest.approx(3.0, abs=1e-12)
+        assert one_node_norm(rho) == pytest.approx(3.0, abs=1e-12)
 
     def test_zero(self):
-        assert functional_norm(M2.zero_functional()) == 0.0
+        assert one_node_norm(M2.zero_functional()) == 0.0
 
     def test_positive_attains_at_unit(self):
         for seed in range(5):
             rho = random_state(AlgebraDescriptor((2, 1)), seed)
-            assert functional_norm(rho) == pytest.approx(
+            assert one_node_norm(rho) == pytest.approx(
                 rho.pair(AlgebraDescriptor((2, 1)).unit()), abs=1e-12)
 
 
 class TestJordanSplit:
     def test_diagonal_sign_split(self):
-        p, m = jordan_decompose_functional(func(C2, [[1]], [[-2]]))
+        p, m = one_node_split(func(C2, [[1]], [[-2]]))
         assert p.blocks[0][0, 0] == pytest.approx(1) and p.blocks[1][0, 0] == 0
         assert m.blocks[0][0, 0] == 0 and m.blocks[1][0, 0] == pytest.approx(2)
 
     def test_offdiagonal_eigen_oracle(self):
         # eigenvectors (1, 1)/sqrt(2) and (1, -1)/sqrt(2)
-        p, m = jordan_decompose_functional(func(M2, [[0, 1], [1, 0]]))
+        p, m = one_node_split(func(M2, [[0, 1], [1, 0]]))
         assert np.allclose(p.blocks[0], 0.5 * np.array([[1, 1], [1, 1]]),
                            atol=1e-12)
         assert np.allclose(m.blocks[0], 0.5 * np.array([[1, -1], [-1, 1]]),
@@ -103,7 +119,7 @@ class TestJordanSplit:
 
     def test_positive_input_untouched(self):
         rho = random_state(M2, 7)
-        p, m = jordan_decompose_functional(rho)
+        p, m = one_node_split(rho)
         assert np.allclose(p.blocks[0], rho.blocks[0], atol=1e-12)
         assert np.max(np.abs(m.blocks[0])) <= 1e-12
 
@@ -112,8 +128,8 @@ class TestJordanSplit:
         descriptor = AlgebraDescriptor(blocks)
         for seed in range(25):
             rho = random_functional(descriptor, seed)
-            p, m = jordan_decompose_functional(rho)
-            norm = functional_norm(rho)
+            p, m = one_node_split(rho)
+            norm = one_node_norm(rho)
             traces = sum(np.trace(b).real for b in p.blocks) \
                 + sum(np.trace(b).real for b in m.blocks)
             assert abs(traces - norm) <= 1e-10
@@ -125,8 +141,8 @@ class TestJordanSplit:
 
     def test_negation_swaps_parts(self):
         rho = random_functional(AlgebraDescriptor((2, 2)), 3)
-        p, m = jordan_decompose_functional(rho)
-        p2, m2 = jordan_decompose_functional(rho.scaled(-1.0))
+        p, m = one_node_split(rho)
+        p2, m2 = one_node_split(rho.scaled(-1.0))
         for a, b in zip(p2.blocks, m.blocks):
             assert np.allclose(a, b, atol=1e-14)
         for a, b in zip(m2.blocks, p.blocks):
@@ -136,8 +152,8 @@ class TestJordanSplit:
         # any other positive split must carry at least the minimal total trace
         for seed in range(20):
             rho = random_functional(M2, 100 + seed)
-            norm = functional_norm(rho)
-            p, m = jordan_decompose_functional(rho)
+            norm = one_node_norm(rho)
+            p, m = one_node_split(rho)
             for _ in range(50):
                 g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
                 shift = g @ g.conj().T * rng.uniform(0, 0.5)
@@ -145,21 +161,6 @@ class TestJordanSplit:
                 sm = m.blocks[0] + shift
                 total = np.trace(sp).real + np.trace(sm).real
                 assert total >= norm - 1e-9
-
-
-class TestSeparatorProjection:
-    def test_diag_example(self):
-        k = support_projection(func(C2, [[1]], [[-2]]))
-        assert k.blocks[0][0, 0] == 0 and k.blocks[1][0, 0] == 1
-
-    def test_positive_gives_zero(self):
-        k = support_projection(random_state(M2, 5))
-        assert np.max(np.abs(k.blocks[0])) <= 1e-12
-
-    def test_offdiagonal_projection(self):
-        k = support_projection(func(M2, [[0, 1], [1, 0]]))
-        assert np.allclose(k.blocks[0], 0.5 * np.array([[1, -1], [-1, 1]]),
-                           atol=1e-12)
 
 
 class TestRandomState:

@@ -10,9 +10,9 @@ from tracefield.generate import extension_instance
 from tracefield.grids import circle_grid, path_grid, refine
 from tracefield.seminorms import (BaseNorm, MaxAbsLinear, ScaledByField,
                                   ScaledNorm, VectorSpaceModel, inf_convolve)
-from tracefield.grids import epsilon_semicontinuity_report, partition_of_unity
 
-from oracles import scan_min_1d, scan_min_2d, tube_tv_lp
+from oracles import (epsilon_semicontinuity_report, partition_of_unity,
+                     scan_min_1d, scan_min_2d, tube_tv_lp)
 
 E2 = np.eye(2)
 SQRT3 = np.sqrt(3.0)
@@ -74,10 +74,9 @@ class TestEnvelopes:
         assert np.max(np.abs(pair.lower + SQRT3)) <= 1e-6
 
     def test_single_sided_wrappers(self):
-        from tracefield.extension import envelope_lower, envelope_upper
-        problem = sqrt3_problem()
-        assert np.allclose(envelope_upper(problem, E2[1]), SQRT3, atol=1e-6)
-        assert np.allclose(envelope_lower(problem, E2[1]), -SQRT3, atol=1e-6)
+        pair = envelopes(sqrt3_problem(), E2[1])
+        assert np.allclose(pair.upper, SQRT3, atol=1e-6)
+        assert np.allclose(pair.lower, -SQRT3, atol=1e-6)
 
     def test_direction_inside_subspace_forces_value(self):
         problem = sqrt3_problem()

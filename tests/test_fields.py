@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from tracefield.algebra import (AlgebraDescriptor, AlgebraError, Element,
-                                FunctionalRep, op_norm, random_functional,
+from tracefield.algebra import (AlgebraDescriptor, Element, FunctionalRep,
+                                op_norm, random_functional,
                                 random_selfadjoint)
-from tracefield.fields import (MapField, compress, compress_norm_field,
-                               constant_map_field, diagonal_map_field,
-                               evaluate, is_absolutely_continuous,
+from tracefield.fields import (MapField, constant_map_field,
+                               diagonal_map_field, evaluate,
+                               is_absolutely_continuous,
                                map_field_from_nodes, pointwise_norm,
                                refine_map_field)
 from tracefield.grids import circle_grid, path_grid, refine
-from tracefield.jordan import decompose_map
 
 from oracles import commutative_functional_norm
 
@@ -127,51 +126,6 @@ class TestAbsoluteContinuity:
         phi = scalar_field(g, vals)
         report = is_absolutely_continuous(phi, 1.0, cutoff=1e-3)
         assert not report.passes and report.infinity_defect > 1e-3
-
-
-class TestCompress:
-    def test_unit_leaves_map(self):
-        g = path_grid(5)
-        phi = constant_map_field(g, FunctionalRep(M2, [_herm(np.random.default_rng(0))]))
-        out = compress(phi, M2.unit())
-        assert np.allclose(out.stacks[0], phi.stacks[0], atol=1e-14)
-
-    def test_zero_kills_map(self):
-        g = path_grid(5)
-        phi = constant_map_field(g, FunctionalRep(M2, [np.eye(2)]))
-        zero = Element(M2, [np.zeros((2, 2))], selfadjoint=True)
-        assert np.max(np.abs(compress(phi, zero).stacks[0])) == 0.0
-
-    def test_commutative_mask(self):
-        g = path_grid(4)
-        blocks = AlgebraDescriptor((1, 1, 1))
-        rho = FunctionalRep(blocks, [[[0.7]], [[-0.3]], [[0.4]]])
-        phi = constant_map_field(g, rho)
-        h = Element(blocks, [[[1.0]], [[1.0]], [[0.0]]], selfadjoint=True)
-        out = compress(phi, h)
-        weights = [out.stacks[b][0, 0, 0].real for b in range(3)]
-        assert weights == pytest.approx([0.7, -0.3, 0.0])
-
-    def test_out_of_range_rejected(self):
-        g = path_grid(3)
-        phi = constant_map_field(g, FunctionalRep(M2, [np.eye(2)]))
-        h = Element(M2, [2 * np.eye(2)], selfadjoint=True)
-        with pytest.raises(AlgebraError):
-            compress(phi, h)
-
-    def test_commutative_norm_identity(self, rng):
-        # compressed norm equals plus-part(h) + minus-part(h) nodewise
-        g = path_grid(6)
-        blocks = AlgebraDescriptor((1, 1, 1, 1))
-        phi = map_field_from_nodes(
-            g, [FunctionalRep(blocks, [[[v]] for v in rng.standard_normal(4)])
-                for _ in range(6)])
-        hvals = rng.uniform(0, 1, 4)
-        h = Element(blocks, [[[v]] for v in hvals], selfadjoint=True)
-        dec = decompose_map(phi)
-        lhs = compress_norm_field(phi, h)
-        rhs = evaluate(dec.plus, h) + evaluate(dec.minus, h)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
 class TestRefineTransfer:

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from tracefield.grids import (Grid, GridError, cb_membership, circle_grid,
-                              epsilon_semicontinuity_report,
-                              modulus_of_continuity, partition_of_unity,
-                              path_grid, refine)
+from tracefield.grids import (Grid, GridError, circle_grid,
+                              modulus_of_continuity, path_grid, refine)
+
+from oracles import epsilon_semicontinuity_report, partition_of_unity
 
 
 class TestGridConstruction:
@@ -214,21 +214,3 @@ class TestSparseRefine:
             assert np.array_equal(row.data, [0.5, 0.5])
         # constant fields stay constant
         assert np.array_equal(prolong @ np.ones(n), np.ones(n + m))
-
-
-class TestConeMembership:
-    def test_accepts_positive_small_at_infinity(self):
-        g = path_grid(6, infinity=(0, 5))
-        f = np.array([1e-9, 0.5, 1.0, 1.0, 0.5, 1e-9])
-        ok, report = cb_membership(f, g)
-        assert ok and report["infinity_max"] == pytest.approx(1e-9)
-
-    def test_rejects_large_at_infinity(self):
-        g = path_grid(4, infinity=(3,))
-        ok, _ = cb_membership(np.array([0, 0, 0, 0.5]), g)
-        assert not ok
-
-    def test_rejects_negative(self):
-        g = path_grid(3)
-        ok, _ = cb_membership(np.array([0.0, -0.2, 0.0]), g)
-        assert not ok

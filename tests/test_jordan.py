@@ -1,20 +1,15 @@
 import numpy as np
 import pytest
 
-from tracefield.algebra import (AlgebraDescriptor, AlgebraError, Element,
-                                FunctionalRep, functional_norm,
-                                random_contraction)
-from tracefield.fields import (MapField, compress_norm_field,
-                               constant_map_field, diagonal_map_field,
-                               evaluate, map_field_from_nodes,
+from tracefield.algebra import AlgebraDescriptor, FunctionalRep
+from tracefield.fields import (MapField, constant_map_field,
+                               diagonal_map_field, evaluate,
                                refine_map_field)
 from tracefield.generate import (crossing_map_field, random_map_field,
                                  smooth_map_field)
 from tracefield.grids import path_grid, refine
 from tracefield.jordan import (continuity_report, decompose_map,
-                               default_test_elements, delta_continuity_report,
-                               locality_check, separator,
-                               verify_norm_additivity)
+                               default_test_elements, verify_norm_additivity)
 
 M2 = AlgebraDescriptor((2,))
 
@@ -22,6 +17,11 @@ M2 = AlgebraDescriptor((2,))
 def scalar_field(grid, values):
     stack = np.asarray(values, dtype=complex).reshape(grid.n, 1, 1)
     return MapField(grid, AlgebraDescriptor((1,)), [stack])
+
+
+def weights(phi):
+    """(block, node) table of a field over a commutative algebra."""
+    return np.stack([s[:, 0, 0].real for s in phi.stacks])
 
 
 class TestDecompose:
@@ -112,54 +112,6 @@ class TestNormAdditivityResidual:
         assert verify_norm_additivity(res) == 0.0
 
 
-class TestSeparator:
-    def test_diagonal(self):
-        C2 = AlgebraDescriptor((1, 1))
-        k = separator(FunctionalRep(C2, [[[1.0]], [[-2.0]]]))
-        assert k.blocks[0][0, 0] == 0.0 and k.blocks[1][0, 0] == 1.0
-
-    def test_positive_gives_zero(self):
-        from tracefield.algebra import random_state
-        k = separator(random_state(M2, 8))
-        assert np.max(np.abs(k.blocks[0])) == 0.0
-
-    def test_offdiagonal(self):
-        k = separator(FunctionalRep(M2, [np.array([[0, 1], [1, 0]])]))
-        assert np.allclose(k.blocks[0], 0.5 * np.array([[1, -1], [-1, 1]]),
-                           atol=1e-12)
-
-    def test_pairing_identities(self):
-        from tracefield.algebra import jordan_decompose_functional, random_functional
-        for seed in range(10):
-            rho = random_functional(AlgebraDescriptor((3, 2)), seed)
-            plus, minus = jordan_decompose_functional(rho)
-            k = separator(rho)
-            one_minus_k = Element(
-                rho.algebra,
-                [np.eye(d) - b for d, b in zip(rho.algebra.blocks, k.blocks)],
-                selfadjoint=True)
-            assert abs(plus.pair(k)) <= 1e-10
-            assert abs(minus.pair(one_minus_k)) <= 1e-10
-            # contraction bounds
-            for b in k.blocks:
-                w = np.linalg.eigvalsh(b)
-                assert w.min() >= -1e-12 and w.max() <= 1 + 1e-12
-
-    def test_compression_inequality_chain_commutative(self, rng):
-        # plus(h) + minus(h) equals the compressed norm for function algebras
-        blocks = AlgebraDescriptor((1, 1, 1))
-        g = path_grid(7)
-        phi = map_field_from_nodes(
-            g, [FunctionalRep(blocks, [[[v]] for v in rng.standard_normal(3)])
-                for _ in range(7)])
-        h = random_contraction(blocks, 12)
-        res = decompose_map(phi)
-        lhs = evaluate(res.plus, h) + evaluate(res.minus, h)
-        rhs = compress_norm_field(phi, h)
-        assert np.max(lhs - rhs) <= 1e-9
-        assert np.max(np.abs(lhs - rhs)) <= 1e-9
-
-
 class TestContinuityReport:
     def test_constant_field_all_zero(self):
         g = path_grid(10)
@@ -204,57 +156,38 @@ class TestContinuityReport:
         assert np.array_equal(report.jumps, ref)
 
 
-class TestDeltaContinuity:
-    def test_smooth_field_needs_no_budget(self):
-        g = path_grid(60)
-        phi = crossing_map_field(g)
-        report = delta_continuity_report(phi, delta=0.0)
-        assert report.passes
-
-    def test_scalar_jump_is_tight(self):
-        g = path_grid(10)
-        vals = np.ones(10)
-        vals[5:] = 1.25
-        phi = scalar_field(g, vals)
-        report = delta_continuity_report(phi, delta=0.0)
-        assert report.passes
-        assert report.norm_modulus == pytest.approx(0.25)
-        assert report.tightness >= 0.9
-
-    def test_zero_map(self):
-        g = path_grid(6)
-        phi = constant_map_field(g, M2.zero_functional())
-        report = delta_continuity_report(phi, delta=0.0)
-        assert report.passes and report.max_violation <= 0
-
-
 class TestLocality:
+    # on the functions on a finite set the split acts weight by weight: a
+    # multiplication field by c splits into multiplications by max(c, 0)
+    # and max(-c, 0)
     def test_ramp_weights(self):
         g = path_grid(15)
-        phi = diagonal_map_field(g, g.positions - 0.5)
-        verdict = locality_check(decompose_map(phi))
-        assert verdict.passes
-        assert np.allclose(verdict.weights_plus,
-                           np.maximum(g.positions - 0.5, 0), atol=1e-12)
+        c = g.positions - 0.5
+        res = decompose_map(diagonal_map_field(g, c))
+        assert np.allclose(weights(res.plus), np.diag(np.maximum(c, 0)),
+                           atol=1e-12)
 
     def test_positive_weights_no_negative_part(self):
         g = path_grid(8)
-        phi = diagonal_map_field(g, np.abs(np.sin(1 + g.positions)))
-        verdict = locality_check(decompose_map(phi))
-        assert verdict.passes
-        assert np.max(verdict.weights_minus) == 0.0
+        c = np.abs(np.sin(1 + g.positions))
+        res = decompose_map(diagonal_map_field(g, c))
+        assert np.allclose(weights(res.plus), np.diag(c), atol=1e-12)
+        assert np.max(weights(res.minus)) == 0.0
 
     def test_random_weights_match_scalar_split(self, rng):
         g = path_grid(12)
         c = rng.standard_normal(12)
-        verdict = locality_check(decompose_map(diagonal_map_field(g, c)))
-        assert verdict.passes
-        assert np.allclose(verdict.weights_plus, np.maximum(c, 0), atol=1e-12)
-        assert np.allclose(verdict.weights_minus, np.maximum(-c, 0),
+        res = decompose_map(diagonal_map_field(g, c))
+        assert np.allclose(weights(res.plus), np.diag(np.maximum(c, 0)),
+                           atol=1e-12)
+        assert np.allclose(weights(res.minus), np.diag(np.maximum(-c, 0)),
                            atol=1e-12)
 
-    def test_non_diagonal_rejected(self):
+    def test_non_diagonal_input_splits_weightwise(self):
         g = path_grid(4)
         phi = random_map_field([1] * 4, g, seed=2)
-        with pytest.raises(AlgebraError):
-            locality_check(decompose_map(phi))
+        c = weights(phi)
+        assert np.min(np.abs(c)) > 0        # every node sees every block
+        res = decompose_map(phi)
+        assert np.allclose(weights(res.plus), np.maximum(c, 0), atol=1e-12)
+        assert np.allclose(weights(res.minus), np.maximum(-c, 0), atol=1e-12)

@@ -17,9 +17,10 @@ from tracefield.schemas import (decode_extension_problem, decode_gauge,
                                 decode_map_field, encode_extension_problem,
                                 encode_gauge, encode_grid, encode_instance,
                                 encode_map_field)
-from tracefield.seminorms import (BaseNorm, InfConv, MaxAbsLinear,
-                                  QuotientBar, ScaledNorm, SumGauge,
-                                  VectorSpaceModel, build_m_delta)
+from tracefield.seminorms import (AugmentedGauge, BaseNorm, InfConv,
+                                  MaxAbsLinear, QuotientBar, ScaledNorm,
+                                  SubspaceDistance, SumGauge,
+                                  VectorSpaceModel)
 
 M2 = AlgebraDescriptor((2,))
 
@@ -45,9 +46,9 @@ class TestRoundTrips:
             ScaledNorm(np.linspace(1, 2, n), n, 3, BaseNorm(1.0)),
             MaxAbsLinear([[1.0, 0, 0], [0, 1, 1]], n, 0.5),
             SumGauge([ScaledNorm(1.0, n, 3), ScaledNorm(2.0, n, 3)]),
-            build_m_delta(ScaledNorm(1.0, n, 3),
-                          VectorSpaceModel(3, BaseNorm(2.0), np.eye(3)[:2],
-                                           np.eye(3)[2:]), 0.3),
+            AugmentedGauge(ScaledNorm(1.0, n, 3),
+                           [(0.3, SubspaceDistance(np.eye(3)[2:],
+                                                   BaseNorm(2.0)))]),
             QuotientBar(ScaledNorm(1.0, n, 3), np.eye(3)[2:], 0.2,
                         BaseNorm(2.0)),
             InfConv(ScaledNorm(1.0, n, 3), ScaledNorm(1.5, n, 3),
@@ -155,7 +156,7 @@ def envelope_payload():
     return {
         "map": encode_map_field(phi),
         "chain": [[encode_element(e) for e in fam[:i + 1]] for i in range(3)],
-        "delta_seq": [3.0, 2.5, 2.1],
+        "delta_seq": [3.0, 2.8, 2.6],
         "x": encode_element(random_selfadjoint(M2, 3)),
         "states": {"count": 12, "seed": 0},
     }
@@ -313,6 +314,57 @@ class TestCLI:
         })
         path = write_instance(tmp_path, "verify.json", inst)
         assert main(["verify", path, "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("field, value", [
+        ("epsilon", float("nan")),
+        ("epsilon", float("inf")),
+        ("cutoff", "abc"),
+    ])
+    def test_verify_bad_numbers_name_their_path(self, tmp_path, capsys,
+                                                field, value):
+        payload = {"target": "absolute_continuity", "epsilon": 0.5,
+                   "map": encode_map_field(crossing_map_field(path_grid(20)))}
+        payload[field] = value
+        path = write_instance(tmp_path, "verify.json",
+                              encode_instance("verify", payload))
+        out = tmp_path / "o"
+        assert main(["verify", path, "--out", str(out)]) == 1
+        assert f"verify.{field}" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("case, keys", [
+        ("decompose", ("continuity", "passes")),
+        ("envelope", ("upper_monotone",)),
+        ("verify decompose", ("passes",)),
+        ("verify extend", ("passes",)),
+        ("verify absolute_continuity", ("passes",)),
+    ])
+    def test_report_booleans_are_json_booleans(self, tmp_path, case, keys):
+        command, _, target = case.partition(" ")
+        args = []
+        if command == "decompose":
+            path, args = decompose_instance(tmp_path), ["--refine", "2"]
+        elif command == "envelope":
+            path = write_instance(tmp_path, "env.json", encode_instance(
+                "envelope", envelope_payload()))
+        else:
+            payload = {"target": target}
+            if target == "extend":
+                payload.update(encode_extension_problem(extension_instance(
+                    6, n_nodes=6, dim=3, dim_y=1, delta=0.1, margin=0.5)))
+            else:
+                payload["map"] = encode_map_field(
+                    crossing_map_field(path_grid(10)))
+            if target == "absolute_continuity":
+                payload["epsilon"] = 1.0
+            path = write_instance(tmp_path, "verify.json",
+                                  encode_instance("verify", payload))
+        out = tmp_path / "o"
+        assert main([command, path, "--out", str(out)] + args) == 0
+        value = json.loads((out / "report.json").read_text())["results"]
+        for key in keys:
+            value = value[key]
+        assert value is True
 
     def test_generate_then_run(self, tmp_path):
         out = str(tmp_path / "gen")

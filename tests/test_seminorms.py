@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tracefield.grids import path_grid
-from tracefield.seminorms import (BaseNorm, MaxAbsLinear, Quotient,
-                                  ScaledByField, ScaledNorm, SeminormError,
-                                  SubspaceDistance, SumGauge,
+from tracefield.seminorms import (AugmentedGauge, BaseNorm, MaxAbsLinear,
+                                  Quotient, ScaledByField, ScaledNorm,
+                                  SeminormError, SubspaceDistance, SumGauge,
                                   VectorSpaceModel, balanced_chain,
-                                  build_m_delta, check_locally_finite,
-                                  eval_seminorm, inf_convolve,
-                                  quotient_seminorms, validate_nilspace)
+                                  inf_convolve, quotient_seminorms)
 from tracefield.solvers import orthonormal_rows
 
 from oracles import quotient_bar_scan, scan_min_1d
@@ -23,17 +20,23 @@ def scaled2(c=1.0, dim=3):
     return ScaledNorm(c, N_NODES, dim)
 
 
+def m_delta(m, model, delta):
+    """m plus delta times the distance to complement + shared nilspace."""
+    return AugmentedGauge(m, [(delta, SubspaceDistance(model.quotient_rows(0),
+                                                        model.norm))])
+
+
 class TestEvalExamples:
     def test_zero_vector(self):
-        assert eval_seminorm(scaled2(), np.zeros(3), 2) == 0.0
+        assert scaled2().value_nodes(np.zeros(3))[0][2] == 0.0
 
     def test_scaled_two_norm(self):
         m = ScaledNorm(2.0, N_NODES, 2)
-        assert eval_seminorm(m, [1.0, 0.0], 0) == pytest.approx(2.0)
+        assert m.value_nodes([1.0, 0.0])[0][0] == pytest.approx(2.0)
 
     def test_max_abs_linear(self):
         m = MaxAbsLinear([[1, 0], [1, 1]], N_NODES)
-        assert eval_seminorm(m, [1.0, -1.0], 3) == pytest.approx(1.0)
+        assert m.value_nodes([1.0, -1.0])[0][3] == pytest.approx(1.0)
 
 
 class TestGaugeAxioms:
@@ -85,28 +88,30 @@ class TestMDelta:
 
     def test_complement_vector_untouched(self):
         m = scaled2(dim=2)
-        md = build_m_delta(m, self.model2(), 0.3)
+        md = m_delta(m, self.model2(), 0.3)
         z = np.array([0.0, 1.5])
-        assert eval_seminorm(md, z, 1) == pytest.approx(eval_seminorm(m, z, 1))
+        assert md.value_nodes(z)[0][1] == pytest.approx(
+            m.value_nodes(z)[0][1])
 
     def test_full_nilspace_collapses(self):
         model = VectorSpaceModel(2, BaseNorm(2.0), np.eye(2)[:1],
                                  np.eye(2)[1:], nilspace=np.eye(2))
         zero = ScaledNorm(0.0, N_NODES, 2)
-        validate_nilspace(zero, model)
-        md = build_m_delta(zero, model, 0.7)
+        for v in model.nilspace:
+            assert np.all(zero.value_nodes(v)[0] == 0.0)
+        md = m_delta(zero, model, 0.7)
         z = np.array([1.3, -0.4])
-        assert eval_seminorm(md, z, 0) == pytest.approx(0.0, abs=1e-14)
+        assert md.value_nodes(z)[0][0] == pytest.approx(0.0, abs=1e-14)
 
     def test_unit_distance_to_complement(self):
         m = scaled2(dim=2)
-        md = build_m_delta(m, self.model2(), 0.25)
-        assert eval_seminorm(md, [1.0, 0.0], 0) == pytest.approx(1.0 + 0.25)
+        md = m_delta(m, self.model2(), 0.25)
+        assert md.value_nodes([1.0, 0.0])[0][0] == pytest.approx(1.0 + 0.25)
 
     def test_sandwich(self, rng):
         m = ScaledNorm(rng.uniform(0.5, 2, N_NODES), N_NODES, 3)
         model = VectorSpaceModel(3, BaseNorm(2.0), np.eye(3)[:2], np.eye(3)[2:])
-        md = build_m_delta(m, model, 0.5)
+        md = m_delta(m, model, 0.5)
         for _ in range(20):
             z = rng.standard_normal(3)
             base, _ = m.value_nodes(z)
@@ -145,7 +150,7 @@ class TestQuotientPair:
         bar, tilde = quotient_seminorms(m, model, 0.5)
         z = np.array([0.6, -0.8])
         vb, _ = bar.value_nodes(z)
-        expected = eval_seminorm(m, z, 0) + 0.5 * 1.0
+        expected = m.value_nodes(z)[0][0] + 0.5 * 1.0
         assert vb[0] == pytest.approx(expected, abs=1e-12)
 
     def test_complement_vector_collapses_to_zero(self):
@@ -285,46 +290,6 @@ class TestInfConvolve:
         v, _ = ic.value_nodes(x)
         v1, _ = m1.value_nodes(x)
         assert np.all(v <= v1 + 1e-12)
-
-
-class TestLocallyFinite:
-    def test_condition_i_when_gauge_kills_complement(self):
-        g = path_grid(N_NODES)
-        m = MaxAbsLinear(np.eye(3)[:2], N_NODES)   # ignores e3
-        model = VectorSpaceModel(3, BaseNorm(2.0), np.eye(3)[:2], np.eye(3)[2:])
-        verdict = check_locally_finite(m, model, g, t0=2, eps=1e-6)
-        assert verdict.condition == "condition_i"
-        assert verdict.witness["max_value"] < 1e-6
-
-    def test_condition_ii_vacuous_without_complement(self):
-        g = path_grid(N_NODES)
-        m = scaled2(dim=2)
-        model = VectorSpaceModel(2, BaseNorm(2.0), np.eye(2), None)
-        verdict = check_locally_finite(m, model, g, t0=0, eps=1e-6)
-        assert verdict.condition == "condition_ii"
-        assert verdict.witness["vacuous"]
-        assert verdict.minimal_core_dim == 2
-
-    def test_fail_names_counterexample(self):
-        g = path_grid(N_NODES)
-        m = scaled2(dim=3)
-        model = VectorSpaceModel(3, BaseNorm(2.0), np.eye(3)[:2], np.eye(3)[2:])
-        verdict = check_locally_finite(m, model, g, t0=1, eps=1e-6)
-        assert verdict.condition == "fail"
-        assert verdict.witness["value"] == pytest.approx(1.0)
-        assert np.allclose(np.abs(verdict.witness["counterexample"]),
-                           [0, 0, 1])
-
-    def test_nontrivial_vanishing_part_reported(self):
-        g = path_grid(N_NODES)
-        # gauge sees coordinates 1 and 3: the e2 direction of Y vanishes
-        # while the complement direction e3 does not
-        m = MaxAbsLinear(np.eye(3)[[0, 2]], N_NODES)
-        model = VectorSpaceModel(3, BaseNorm(2.0), np.eye(3)[:2], np.eye(3)[2:])
-        verdict = check_locally_finite(m, model, g, t0=3, eps=1e-12)
-        assert verdict.condition == "condition_ii"
-        assert not verdict.witness["vacuous"]
-        assert verdict.minimal_core_dim == 1
 
 
 class TestBalancedChain:

@@ -183,7 +183,8 @@ class TestEnvelopeField:
 
     def test_upper_defect_shrinks_under_refinement(self):
         from tracefield.fields import refine_map_field
-        from tracefield.grids import epsilon_semicontinuity_report, refine
+        from tracefield.grids import refine
+        from oracles import epsilon_semicontinuity_report
 
         env = envelope_field(self.phi, [self.unit], self.x, 0.2, self.sample)
         fine_grid, prolong = refine(self.grid)
