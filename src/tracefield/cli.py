@@ -2,8 +2,8 @@
 
 Commands consume JSON instance files, write a JSON report plus CSV tables
 into the output directory, and exit with 0 on success, 2 on verification
-or numerical failure, and 1 on input errors.  Reruns with identical inputs
-produce byte-identical outputs.
+or numerical failure, and 1 on input errors, a bad command line included.
+Reruns with identical inputs produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -125,8 +125,7 @@ def _cmd_decompose(args, tols):
 
 def _cmd_extend(args, tols):
     _, payload = _load_instance(args.instance, "extend")
-    problem, order = decode_extension_problem(payload, tols=tols,
-                                              oracle=args.oracle)
+    problem, order = decode_extension_problem(payload, tols=tols)
     result = extend_full(problem, order)
     restriction = restriction_residual(result, problem)
     report = _base_report("extend", args.instance, tols, args.seed)
@@ -319,8 +318,16 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as an input error (exit 1), not through
+    argparse's own exit 2, which the CLI keeps for verification failures."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tracefield",
         description="decomposition and extension toolkit for functional "
                     "fields on finite grids")
@@ -335,8 +342,6 @@ def build_parser():
                        help="refinement levels for continuity studies")
         p.add_argument("--tol", action="append", metavar="KEY=VAL",
                        help="tolerance override (repeatable)")
-        p.add_argument("--oracle", action="store_true",
-                       help="force brute-force cross-checks where available")
         if name == "generate":
             p.add_argument("--family",
                            choices=("smooth", "crossing", "extension"))
@@ -345,9 +350,8 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         tols = _parse_tols(args.tol)
         return _COMMANDS[args.command](args, tols)
     except (EigensolverError, np.linalg.LinAlgError) as exc:

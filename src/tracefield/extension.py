@@ -281,7 +281,7 @@ def _pattern_envelopes(problem, x, gauge, radius):
                         np.full(n, np.inf))
 
 
-def select_continuous(lower, upper, grid: Grid, tols: Tolerances = DEFAULT_TOLS):
+def select_continuous(lower, upper, grid: Grid):
     """Total-variation-minimal selection inside a tube, ties to the midpoint.
 
     Path and circle grids use the exact flat-bottom sweep; general graphs use
@@ -418,7 +418,7 @@ def extend_one(problem: ExtensionProblem, x, gauge: Gauge = None,
                        np.maximum(width, 0) / 4)
     lo = pair.lower + guard
     hi = np.maximum(pair.upper - guard, lo)   # solver noise can cross the tube
-    f = select_continuous(lo, hi, problem.grid, problem.tols)
+    f = select_continuous(lo, hi, problem.grid)
 
     new_sub = np.vstack([model.subspace, x[None, :]])
     new_comp = _reduce_complement(model, new_sub)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.csgraph import dijkstra as _dijkstra
 
 
 class GridError(ValueError):
@@ -113,15 +112,6 @@ class Grid:
         if not np.all(np.isfinite(g)):
             raise GridError("field contains non-finite values")
         return g
-
-    def distances_from(self, sources) -> np.ndarray:
-        """Graph distances from a set of source nodes (Dijkstra)."""
-        sources = list(sources)
-        if not sources:
-            return np.full(self.n, np.inf)
-        d = _dijkstra(self._adj, directed=False, indices=sources,
-                      min_only=True)
-        return np.asarray(d, dtype=float)
 
 
 def path_grid(n, length=1.0, infinity=()) -> Grid:

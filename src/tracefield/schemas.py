@@ -253,16 +253,14 @@ def encode_gauge(g: Gauge) -> dict:
     raise InputError(f"gauge kind {type(g).__name__} is not serializable")
 
 
-def decode_gauge(obj, n_nodes: int, path="seminorm",
-                 oracle: bool = False) -> Gauge:
-    """Gauge from its JSON object; ``oracle`` switches on the dense-scan
-    cross-checks of every quotient and inf-convolution inner solve."""
+def decode_gauge(obj, n_nodes: int, path="seminorm") -> Gauge:
+    """Gauge from its JSON object."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InputError(f"{path}: expected an object with a 'kind' tag")
     kind = obj["kind"]
 
     def sub(key):
-        return decode_gauge(obj[key], n_nodes, f"{path}.{key}", oracle)
+        return decode_gauge(obj[key], n_nodes, f"{path}.{key}")
 
     try:
         if kind == "scaled_norm":
@@ -278,8 +276,7 @@ def decode_gauge(obj, n_nodes: int, path="seminorm",
                                                  f"{path}.scale"))
         if kind == "sum":
             _expect(obj, ("kind", "parts"), (), path)
-            return SumGauge([decode_gauge(p, n_nodes, f"{path}.parts[{i}]",
-                                          oracle)
+            return SumGauge([decode_gauge(p, n_nodes, f"{path}.parts[{i}]")
                              for i, p in enumerate(obj["parts"])])
         if kind == "node_scaled":
             _expect(obj, ("kind", "factor", "inner"), (), path)
@@ -302,11 +299,11 @@ def decode_gauge(obj, n_nodes: int, path="seminorm",
             return cls(sub("m"),
                        _floats(obj["subspace"], path),
                        _scalar(obj["delta"], f"{path}.delta"),
-                       decode_norm(obj["norm"], f"{path}.norm"), oracle)
+                       decode_norm(obj["norm"], f"{path}.norm"))
         if kind == "inf_conv":
             _expect(obj, ("kind", "m1", "m2", "subspace"), (), path)
             return InfConv(sub("m1"), sub("m2"),
-                           _floats(obj["subspace"], path), oracle)
+                           _floats(obj["subspace"], path))
         if kind == "piecewise_nodes":
             _expect(obj, ("kind", "mask", "inside", "outside"), (), path)
             mask = _indices(obj["mask"], f"{path}.mask")
@@ -359,15 +356,13 @@ def encode_extension_problem(problem: ExtensionProblem, order=None) -> dict:
     return out
 
 
-def decode_extension_problem(obj, path="extend", tols=DEFAULT_TOLS,
-                             oracle=False):
-    """Extension problem with the given tolerances; ``oracle`` as in
-    :func:`decode_gauge`."""
+def decode_extension_problem(obj, path="extend", tols=DEFAULT_TOLS):
+    """Extension problem with the given tolerances."""
     _expect(obj, ("grid", "space", "phi", "seminorm", "delta"), ("order",),
             path)
     grid = decode_grid(obj["grid"], f"{path}.grid")
     model = decode_model(obj["space"], f"{path}.space")
-    gauge = decode_gauge(obj["seminorm"], grid.n, f"{path}.seminorm", oracle)
+    gauge = decode_gauge(obj["seminorm"], grid.n, f"{path}.seminorm")
     try:
         problem = ExtensionProblem(grid, model, gauge,
                                    _floats(obj["phi"], f"{path}.phi"),

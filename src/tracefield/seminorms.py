@@ -5,8 +5,8 @@ function on R^n with nonnegative values.  Closed-form kinds (scaled p-norms,
 maxima of absolute linear functionals, quotient-distance augmentations) are
 evaluated exactly; quotient and inf-convolution kinds carry an inner
 minimization that is solved by convex descent over deterministic candidate
-sets, optionally cross-checked against a dense scan.  One evaluation solves
-every (vector, node) problem it holds as one batch.
+sets.  One evaluation solves every (vector, node) problem it holds as one
+batch.
 
 The reported value of an inner minimization is always an upper bound of the
 true infimum (it is the minimum over evaluated feasible points), and paired
@@ -21,8 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .solvers import (intersect_rowspaces, lp_solve, minimize_batched,
-                      nullspace_rows, orthonormal_rows)
+from .solvers import lp_solve, minimize_batched, orthonormal_rows
 
 
 class SeminormError(ValueError):
@@ -91,16 +90,6 @@ class SubspaceDistance:
         self._q = orthonormal_rows(scaled)          # weighted coords, p = 2
         dim = basis_rows.shape[1]
         self._residual_op = np.eye(dim) - self._q.T @ self._q
-        self._proj_q = orthonormal_rows(basis_rows)  # plain projector
-
-    @property
-    def trivial(self) -> bool:
-        return self._q.shape[0] == 0
-
-    def project(self, z):
-        """Euclidean projection onto the subspace (candidate generation)."""
-        z = np.asarray(z, dtype=float)
-        return (z @ self._proj_q.T) @ self._proj_q
 
     def _residual(self, z):
         zw = z if self.norm.weights is None else z * self.norm.weights
@@ -208,10 +197,6 @@ class Gauge:
         Z = np.broadcast_to(z, (self.n_nodes, self.dim))
         return self.values(Z), None
 
-    def nilspace_basis(self, t: int, tol: float = 1e-10) -> np.ndarray:
-        """Rows spanning the directions with zero gauge value at node t."""
-        raise NotImplementedError
-
     def _check_shape(self, Z):
         Z = np.asarray(Z, dtype=float)
         if Z.shape[-2:] != (self.n_nodes, self.dim):
@@ -249,11 +234,6 @@ class ScaledNorm(Gauge):
     def norm_terms(self):
         return [self.norm.term(self.c, self.dim)]
 
-    def nilspace_basis(self, t, tol=1e-10):
-        if self.c[t] <= tol:
-            return np.eye(self.dim)
-        return np.zeros((0, self.dim))
-
 
 class MaxAbsLinear(Gauge):
     """scale(t) * max_k |a_k . z| over a fixed family of functionals."""
@@ -275,11 +255,6 @@ class MaxAbsLinear(Gauge):
         return [GaugeTerm(self.scale, self.functionals[None, :, None, :],
                           True)]
 
-    def nilspace_basis(self, t, tol=1e-10):
-        if self.scale[t] <= tol:
-            return np.eye(self.dim)
-        return nullspace_rows(self.functionals)
-
 
 class SumGauge(Gauge):
     def __init__(self, parts):
@@ -297,12 +272,6 @@ class SumGauge(Gauge):
 
     def norm_terms(self):
         return _joined([p.norm_terms() for p in self.parts])
-
-    def nilspace_basis(self, t, tol=1e-10):
-        basis = self.parts[0].nilspace_basis(t, tol)
-        for p in self.parts[1:]:
-            basis = intersect_rowspaces(basis, p.nilspace_basis(t, tol))
-        return basis
 
 
 class ScaledByField(Gauge):
@@ -323,11 +292,6 @@ class ScaledByField(Gauge):
     def value_nodes(self, z, extra=None):
         vals, wit = self.inner.value_nodes(z, extra)
         return self.factor * vals, wit
-
-    def nilspace_basis(self, t, tol=1e-10):
-        if self.factor[t] <= tol:
-            return np.eye(self.dim)
-        return self.inner.nilspace_basis(t, tol)
 
 
 class AugmentedGauge(Gauge):
@@ -373,13 +337,6 @@ class AugmentedGauge(Gauge):
                 return None
         return _joined(parts)
 
-    def nilspace_basis(self, t, tol=1e-10):
-        basis = self.base.nilspace_basis(t, tol)
-        for _, dist in self.terms:
-            d = dist if isinstance(dist, SubspaceDistance) else dist[t]
-            basis = intersect_rowspaces(basis, d.basis)
-        return basis
-
 
 class PiecewiseNodes(Gauge):
     """One gauge on a designated node set, another elsewhere."""
@@ -409,10 +366,6 @@ class PiecewiseNodes(Gauge):
         vi, _ = self.inside.value_nodes(z, extra)
         vo, _ = self.outside.value_nodes(z, extra)
         return np.where(self.mask, vi, vo), None
-
-    def nilspace_basis(self, t, tol=1e-10):
-        return (self.inside if self.mask[t] else self.outside)\
-            .nilspace_basis(t, tol)
 
 
 _BLOCK = 1 << 14   # (point, problem) pairs per gauge call of a blocked loop
@@ -500,8 +453,7 @@ class _QuotientCore:
     the reported tilde values.
     """
 
-    def __init__(self, m: Gauge, w_rows, delta: float, norm: BaseNorm,
-                 oracle: bool = False):
+    def __init__(self, m: Gauge, w_rows, delta: float, norm: BaseNorm):
         if not delta > 0:
             raise SeminormError("quotient construction needs delta > 0")
         self.m = m
@@ -510,7 +462,6 @@ class _QuotientCore:
         self.w = np.atleast_2d(np.asarray(w_rows, dtype=float)) \
             if np.size(w_rows) else np.zeros((0, m.dim))
         self.wq = orthonormal_rows(self.w)
-        self.oracle = oracle
 
     def _objective(self, Z, W, tilde):
         """Bar (or tilde) integrand at candidates W of shape (..., P, n, dim)."""
@@ -551,7 +502,7 @@ class _QuotientCore:
                                  self._objective(Z, W[..., 1, :, :, :], True)],
                                 axis=-3).reshape(C.shape[:-1])
 
-            pts = ({1: 201, 2: 41} if self.oracle else {1: 81, 2: 25}).get(k)
+            pts = {1: 81, 2: 25}.get(k)
             start = _scan(fun, radius, pts, k) if pts else None
             y, _ = minimize_batched(fun, k, n_nodes=2 * P * n, radius=radius,
                                     polish_rounds=120, y0=start)
@@ -583,22 +534,15 @@ class Quotient(_BatchSolved):
         return (np.where(self.mask, v_bar, v_tilde),
                 np.where(self.mask[:, None], w_bar, w_tilde))
 
-    def nilspace_basis(self, t, tol=1e-10):
-        if self.mask[t]:
-            return orthonormal_rows(self.core.w) if self.core.w.size \
-                else np.zeros((0, self.dim))
-        return intersect_rowspaces(self.core.m.nilspace_basis(t, tol),
-                                   self.core.w)
 
-
-def QuotientBar(m, w_rows, delta, norm, oracle=False) -> Quotient:
+def QuotientBar(m, w_rows, delta, norm) -> Quotient:
     """inf over w in span(W) of  m(z + w)(t) + delta ||z + w||."""
-    return Quotient(_QuotientCore(m, w_rows, delta, norm, oracle), True)
+    return Quotient(_QuotientCore(m, w_rows, delta, norm), True)
 
 
-def QuotientTilde(m, w_rows, delta, norm, oracle=False) -> Quotient:
+def QuotientTilde(m, w_rows, delta, norm) -> Quotient:
     """m(z)(t) + inf over w in span(W) of  m(w)(t) + delta ||z + w||."""
-    return Quotient(_QuotientCore(m, w_rows, delta, norm, oracle), False)
+    return Quotient(_QuotientCore(m, w_rows, delta, norm), False)
 
 
 class InfConv(_BatchSolved):
@@ -607,13 +551,12 @@ class InfConv(_BatchSolved):
         (m1 [] m2)(z)(t) = inf over y in F of  m1(y)(t) + m2(z - y)(t).
 
     The infimum is taken over a deterministic candidate set (origin, the
-    projection of z onto F and its half, one pattern-search polish batched
-    over every (vector, node) problem, and an optional dense scan), so the
-    reported value is an upper bound of the true infimum that is exact on
-    the candidates.
+    projection of z onto F and its half, and one pattern-search polish
+    batched over every (vector, node) problem), so the reported value is an
+    upper bound of the true infimum that is exact on the candidates.
     """
 
-    def __init__(self, m1: Gauge, m2: Gauge, f_rows, oracle=False):
+    def __init__(self, m1: Gauge, m2: Gauge, f_rows):
         if m1.dim != m2.dim or m1.n_nodes != m2.n_nodes:
             raise SeminormError("inf-convolution parts disagree in shape")
         self.m1, self.m2 = m1, m2
@@ -621,7 +564,6 @@ class InfConv(_BatchSolved):
         self.f = np.atleast_2d(np.asarray(f_rows, dtype=float)) \
             if np.size(f_rows) else np.zeros((0, self.dim))
         self.fq = orthonormal_rows(self.f)
-        self.oracle = oracle
 
     def _solve(self, Z, extra=None):
         P, n, dim = Z.shape
@@ -640,17 +582,8 @@ class InfConv(_BatchSolved):
             y, _ = minimize_batched(fun, k, n_nodes=P * n, radius=radius,
                                     polish_rounds=220)
             cands.append(y.reshape(P, n, k) @ self.fq)
-            if self.oracle and k <= 2:
-                cands.append(_scan(fun, radius, 41, k).reshape(P, n, k)
-                             @ self.fq)
         Y = _with_extra(cands, extra, Z.shape)
         return _pick(self.m1.values(Y) + self.m2.values(Z - Y), Y)
-
-    def nilspace_basis(self, t, tol=1e-10):
-        n1 = intersect_rowspaces(self.m1.nilspace_basis(t, tol), self.f)
-        n2 = self.m2.nilspace_basis(t, tol)
-        return orthonormal_rows(np.vstack([n1, n2]) if n1.size or n2.size
-                                else np.zeros((0, self.dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -709,8 +642,7 @@ class VectorSpaceModel:
         return isinstance(self.nilspace, list)
 
 
-def quotient_seminorms(m: Gauge, model: VectorSpaceModel, delta: float,
-                       oracle: bool = False):
+def quotient_seminorms(m: Gauge, model: VectorSpaceModel, delta: float):
     """The two quotient constructions over W = complement + nilspace.
 
     Returns ``(bar, tilde)``; the reported values satisfy bar <= tilde at
@@ -718,13 +650,13 @@ def quotient_seminorms(m: Gauge, model: VectorSpaceModel, delta: float,
     """
     if model.per_node_nilspace():
         raise SeminormError("quotient constructions need a shared nilspace")
-    core = _QuotientCore(m, model.quotient_rows(0), delta, model.norm, oracle)
+    core = _QuotientCore(m, model.quotient_rows(0), delta, model.norm)
     return Quotient(core, True), Quotient(core, False)
 
 
-def inf_convolve(m1: Gauge, m2: Gauge, f_rows, oracle: bool = False) -> InfConv:
+def inf_convolve(m1: Gauge, m2: Gauge, f_rows) -> InfConv:
     """Nodewise inf-convolution over the subspace spanned by ``f_rows``."""
-    return InfConv(m1, m2, f_rows, oracle=oracle)
+    return InfConv(m1, m2, f_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -739,19 +671,18 @@ class BalancedChainResult:
 
 
 def balanced_chain(m: Gauge, model: VectorSpaceModel, delta: float,
-                   u_masks, f_bases, points, lattice_radius=2.0,
-                   lattice_points=9, oracle=False) -> BalancedChainResult:
+                   u_masks, f_bases, points) -> BalancedChainResult:
     """Inductive seminorm chain built from the two quotient constructions.
 
     Stage n uses the piecewise gauge that equals the bar construction on the
     node set ``u_masks[n]`` and the tilde construction elsewhere; stage n+1
     inf-convolves the previous stage with the next piecewise gauge over the
     subspace ``f_bases[n]``.  Inner infima run over a fixed coordinate
-    lattice that always contains the origin, plus the shared quotient
-    candidates, so every reported value is an upper bound of the true
-    infimum, reported values never exceed the tilde construction, and
-    domination of any linear map dominated by the bar construction is
-    preserved exactly.
+    lattice (9 points per axis on [-2, 2]) that always contains the origin,
+    plus the shared quotient candidates, so every reported value is an
+    upper bound of the true infimum, reported values never exceed the tilde
+    construction, and domination of any linear map dominated by the bar
+    construction is preserved exactly.
 
     ``points`` are the vectors at which all stages are evaluated.  Every
     vector any stage needs is known in advance, so all of them go through
@@ -761,7 +692,7 @@ def balanced_chain(m: Gauge, model: VectorSpaceModel, delta: float,
         raise SeminormError("need one node set per chain stage")
     if model.per_node_nilspace():
         raise SeminormError("balanced chain needs a shared nilspace")
-    core = _QuotientCore(m, model.quotient_rows(0), delta, model.norm, oracle)
+    core = _QuotientCore(m, model.quotient_rows(0), delta, model.norm)
     stages = [Quotient(core, mask) for mask in u_masks]
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n_pts, n_stages = points.shape[0], len(f_bases)
@@ -771,7 +702,7 @@ def balanced_chain(m: Gauge, model: VectorSpaceModel, delta: float,
         if rows.size == 0 or rows.shape[0] == 0:
             return np.zeros((1, m.dim))
         q = orthonormal_rows(rows)
-        pts = _lattice(lattice_radius, lattice_points, q.shape[0]) @ q
+        pts = _lattice(2.0, 9, q.shape[0]) @ q
         if not np.any(np.all(pts == 0.0, axis=1)):
             pts = np.vstack([np.zeros(m.dim), pts])
         return pts

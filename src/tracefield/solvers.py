@@ -22,6 +22,7 @@ _GAP_TOL = 1e-12     # relative duality gap at which a node stops
 # Newton steps per batch: nodes stop within 50 on the extend workload, and
 # near 100 on a max-abs term of 200 rows
 _MAX_STEPS = 200
+_MIN_STEP = 1e-9     # pattern-search step at which a node freezes
 
 
 class SolverError(RuntimeError):
@@ -48,32 +49,6 @@ def orthonormal_rows(a, tol=1e-12):
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     rank = int(np.sum(s > tol * max(1.0, s[0] if s.size else 1.0)))
     return vt[:rank]
-
-
-def nullspace_rows(a, tol=1e-12):
-    """Orthonormal basis (rows) of the null space of ``a`` (acting on rows)."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    n = a.shape[1]
-    if a.shape[0] == 0:
-        return np.eye(n)
-    u, s, vt = np.linalg.svd(a)
-    rank = int(np.sum(s > tol * max(1.0, s[0] if s.size else 1.0)))
-    return vt[rank:]
-
-
-def intersect_rowspaces(a, b, tol=1e-12):
-    """Rows spanning the intersection of two row spaces in R^n."""
-    a = orthonormal_rows(a, tol)
-    b = orthonormal_rows(b, tol)
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return np.zeros((0, max(a.shape[1], b.shape[1])))
-    # z in both spaces iff z = a^T x = b^T y; solve [a^T | -b^T] w = 0.
-    stacked = np.hstack([a.T, -b.T])
-    null = nullspace_rows(stacked, tol)   # rows w = (x, y)
-    if null.shape[0] == 0:
-        return np.zeros((0, a.shape[1]))
-    zs = null[:, :a.shape[0]] @ a
-    return orthonormal_rows(zs, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +79,7 @@ def _directions(dim):
 
 
 def minimize_batched(fun, dim, n_nodes, radius, ball_norm=None,
-                     polish_rounds=300, min_radius=1e-9, y0=None):
+                     polish_rounds=300, y0=None):
     """Minimize a convex objective per node over a ball by pattern search.
 
     Parameters
@@ -123,7 +98,7 @@ def minimize_batched(fun, dim, n_nodes, radius, ball_norm=None,
     The search starts at the origin (and ``y0``) and polishes with a fixed
     direction set.  The "nodes" are independent problems: the polish keeps
     one step per node, halves it only when that node fails to improve and
-    freezes the node once the step is at most ``min_radius``, so a node's
+    freezes the node once the step is at most ``_MIN_STEP``, so a node's
     result does not depend on the other problems of the batch.  Values are
     those of evaluated points, hence upper bounds of the minima.
 
@@ -153,9 +128,9 @@ def minimize_batched(fun, dim, n_nodes, radius, ball_norm=None,
         best_v[improve] = v0[improve]
 
     dirs = _directions(dim)
-    step = np.broadcast_to(np.maximum(radius / 4.0, min_radius * 2),
+    step = np.broadcast_to(np.maximum(radius / 4.0, _MIN_STEP * 2),
                            (n_nodes,)).copy()
-    active = step > min_radius
+    active = step > _MIN_STEP
     rounds = 0
     while np.any(active) and rounds < polish_rounds:
         rounds += 1
@@ -167,7 +142,7 @@ def minimize_batched(fun, dim, n_nodes, radius, ball_norm=None,
         best_y[improve] = cand[idx[improve], improve]
         best_v[improve] = v[improve]
         step[active & ~improve] *= 0.5
-        active &= step > min_radius
+        active &= step > _MIN_STEP
     return best_y, best_v
 
 

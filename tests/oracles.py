@@ -10,6 +10,8 @@ extensions.
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import block_diag, csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from tracefield.grids import Grid, GridError
 
@@ -166,22 +168,41 @@ def max_abs_envelope_lp(subspace, phi, x, functionals, scale, sign):
     """Per-node minimum of  scale_t max_k |a_k . (c B + x)| + sign phi_t . c.
 
     The epigraph form is a linear program in (c, s): minimize
-    sign phi_t . c + scale_t s  subject to  |a_k . (c B + x)| <= s.
+    sign phi_t . c + scale_t s  subject to  |a_k . (c B + x)| <= s.  The
+    nodes' programs share no variable, so they are solved as the blocks of
+    one block-diagonal program.
     """
     ab = functionals @ subspace.T                 # (K, kY)
     ax = functionals @ x                          # (K,)
     n_c, k_y = ab.shape
+    n = phi.shape[0]
     a_ub = np.block([[ab, -np.ones((n_c, 1))], [-ab, -np.ones((n_c, 1))]])
     b_ub = np.concatenate([-ax, ax])
-    out = np.zeros(phi.shape[0])
-    for t in range(phi.shape[0]):
-        c_obj = np.concatenate([sign * phi[t], [float(scale[t])]])
-        res = linprog(c_obj, A_ub=a_ub, b_ub=b_ub,
-                      bounds=[(None, None)] * k_y + [(0, None)],
-                      method="highs")
-        assert res.success, res.message
-        out[t] = float(res.fun)
-    return out
+    c_obj = np.concatenate([sign * phi, np.asarray(scale, float)[:, None]],
+                           axis=1)                # (n, kY + 1)
+    res = linprog(c_obj.ravel(), A_ub=block_diag([a_ub] * n, format="csr"),
+                  b_ub=np.tile(b_ub, n),
+                  bounds=([(None, None)] * k_y + [(0, None)]) * n,
+                  method="highs")
+    assert res.success, res.message
+    return np.sum(c_obj * res.x.reshape(n, k_y + 1), axis=1)
+
+
+def scaled_norm_envelopes(subspace, phi, x, c):
+    """Closed-form envelopes of the Euclidean gauge c_t ||z|| over the span Y
+    of the rows B of ``subspace``: with G = B Bᵀ, x_Y = Bᵀ G⁻¹ B x and
+    a = ||x - x_Y||, the extremes of phi_t . c over c_t ||c B ± x|| are
+
+        p_t . G⁻¹ B x  ±  a sqrt(c_t² - p_tᵀ G⁻¹ p_t).
+
+    Returns ``(lower, upper)``; needs c_t² > p_tᵀ G⁻¹ p_t (coercivity)."""
+    gram = subspace @ subspace.T
+    coeff = np.linalg.solve(gram, subspace @ x)
+    a = np.linalg.norm(x - coeff @ subspace)
+    dual = np.einsum("tk,tk->t", phi, np.linalg.solve(gram, phi.T).T)
+    assert np.all(c * c > dual)
+    root = a * np.sqrt(c * c - dual)
+    return phi @ coeff - root, phi @ coeff + root
 
 
 def augmented_max_abs_lp(subspace, phi, x, functionals, scale, dists, sign):
@@ -256,6 +277,16 @@ def epsilon_semicontinuity_report(g, grid: Grid, direction: str):
     return defect, float(np.max(defect)) if grid.n else 0.0
 
 
+def graph_distances(grid: Grid, sources) -> np.ndarray:
+    """Graph distance from the nearest of the source nodes (Dijkstra on the
+    grid's edges and lengths)."""
+    i, j = grid.edges[:, 0], grid.edges[:, 1]
+    adj = csr_matrix((np.concatenate([grid.lengths, grid.lengths]),
+                      (np.concatenate([i, j]), np.concatenate([j, i]))),
+                     shape=(grid.n, grid.n))
+    return dijkstra(adj, directed=False, indices=list(sources), min_only=True)
+
+
 def partition_of_unity(grid: Grid, cover) -> list:
     """Bump-function partition subordinate to a cover by node sets.
 
@@ -276,7 +307,7 @@ def partition_of_unity(grid: Grid, cover) -> list:
         inside[part] = True
         complement = [i for i in range(grid.n) if not inside[i]]
         if complement:
-            d = grid.distances_from(complement)
+            d = graph_distances(grid, complement)
             bump = np.where(inside, d, 0.0)
         else:
             bump = np.ones(grid.n)

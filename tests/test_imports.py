@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used where it is imported.
+"""Every module-level import in the package and its tests is used where it
+is imported.
 
 A standard-library stand-in for an unused-import lint: a name bound by a
 top-level ``import`` must be read somewhere in its module or be listed in
@@ -10,7 +11,9 @@ import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "tracefield"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "tracefield").glob("*.py")) \
+    + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source):
@@ -38,7 +41,6 @@ def test_detects_an_unused_import():
     assert unused_imports(source) == [(1, "os"), (2, "dumps")]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []

@@ -70,17 +70,7 @@ class TestRoundTrips:
         assert np.allclose(again.phi, problem.phi)
         assert np.allclose(again.model.subspace, problem.model.subspace)
 
-    def test_oracle_reaches_nested_quotient(self):
-        n = 4
-        inner = QuotientBar(ScaledNorm(1.0, n, 3), np.eye(3)[2:], 0.2,
-                            BaseNorm(2.0))
-        conv = InfConv(ScaledNorm(1.0, n, 3), inner, np.eye(3)[:1])
-        obj = encode_gauge(SumGauge([ScaledNorm(1.0, n, 3), inner, conv]))
-        for oracle in (False, True):
-            g = decode_gauge(obj, n, oracle=oracle)
-            assert g.parts[1].core.oracle is oracle
-            assert g.parts[2].oracle is oracle
-            assert g.parts[2].m2.core.oracle is oracle
+    def test_extension_problem_keeps_tolerances(self):
         problem = extension_instance(1, n_nodes=8, dim=3, dim_y=1,
                                      delta=0.1, margin=0.5)
         payload = encode_extension_problem(problem)
@@ -474,14 +464,16 @@ class TestCLI:
                               encode_instance("verify", payload))
         assert main(["verify", path, "--out", str(tmp_path / "vo")]) == 0
 
-    def test_oracle_flag_smoke(self, tmp_path):
+    def test_usage_errors_exit_1(self, tmp_path, capsys):
         problem = extension_instance(6, n_nodes=8, dim=3, dim_y=1,
                                      delta=0.1, margin=0.5)
         inst = encode_instance("extend", encode_extension_problem(problem))
         path = write_instance(tmp_path, "ext.json", inst)
-        assert main(["extend", path, "--out", str(tmp_path / "o1"),
-                     "--oracle"]) == 0
-        assert main(["extend", path, "--out", str(tmp_path / "o2")]) == 0
-        a = (tmp_path / "o1" / "selections.csv").read_bytes()
-        b = (tmp_path / "o2" / "selections.csv").read_bytes()
-        assert a == b
+        for argv in (["extend"], ["extend", path, "--bogus"],
+                     ["extend", path, "--oracle"]):
+            assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+            assert "input error: tracefield" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        with pytest.raises(SystemExit) as exc:
+            main(["extend", "--help"])
+        assert exc.value.code == 0

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tracefield.seminorms import (AugmentedGauge, BaseNorm, MaxAbsLinear,
-                                  Quotient, ScaledByField, ScaledNorm,
-                                  SeminormError, SubspaceDistance, SumGauge,
-                                  VectorSpaceModel, balanced_chain,
+                                  Quotient, ScaledNorm, SubspaceDistance,
+                                  SumGauge, VectorSpaceModel, balanced_chain,
                                   inf_convolve, quotient_seminorms)
 from tracefield.solvers import orthonormal_rows
 

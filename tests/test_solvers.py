@@ -5,11 +5,9 @@ from scipy.optimize import linprog
 from tracefield.extension import envelopes
 from tracefield.generate import extension_instance
 from tracefield.grids import Grid
-from tracefield.seminorms import (AugmentedGauge, BaseNorm, SubspaceDistance,
-                                  VectorSpaceModel)
-from tracefield.solvers import (NormTerm, SolverError, intersect_rowspaces,
-                                minimize_batched, minimize_norm_sum,
-                                nullspace_rows, orthonormal_rows,
+from tracefield.seminorms import AugmentedGauge, BaseNorm, SubspaceDistance
+from tracefield.solvers import (NormTerm, SolverError, minimize_batched,
+                                minimize_norm_sum, orthonormal_rows,
                                 taut_string_cycle, taut_string_path,
                                 total_variation, tube_tv_graph)
 
@@ -449,22 +447,6 @@ class TestMinimizeNormSum:
 
 
 class TestRowspaceHelpers:
-    def test_nullspace(self):
-        null = nullspace_rows(np.array([[1.0, 0.0, 0.0]]))
-        assert null.shape == (2, 3)
-        assert np.max(np.abs(null @ np.array([1.0, 0, 0]))) <= 1e-12
-
-    def test_intersection(self):
-        a = np.array([[1.0, 0, 0], [0, 1.0, 0]])
-        b = np.array([[0, 1.0, 0], [0, 0, 1.0]])
-        inter = intersect_rowspaces(a, b)
-        assert inter.shape == (1, 3)
-        assert np.abs(inter[0, 1]) == pytest.approx(1.0)
-
-    def test_disjoint_intersection_empty(self):
-        inter = intersect_rowspaces(np.eye(3)[:1], np.eye(3)[2:])
-        assert inter.shape[0] == 0
-
     def test_orthonormal_rank_detection(self):
         rows = np.array([[1.0, 1.0], [2.0, 2.0]])
         assert orthonormal_rows(rows).shape == (1, 2)
