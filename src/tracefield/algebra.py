@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import Tolerances, DEFAULT_TOLS
+HERM_TOL = 1e-12    # max allowed deviation from Hermitian symmetry
+IMAG_TOL = 1e-10    # max imaginary residue on selfadjoint data
 
 
 class AlgebraError(ValueError):
@@ -68,7 +69,7 @@ class AlgebraDescriptor:
                                     for b in self.blocks])
 
 
-def _check_blocks(descriptor, mats, what, require_herm, tol):
+def _check_blocks(descriptor, mats, what, require_herm):
     if len(mats) != len(descriptor.blocks):
         raise AlgebraError(
             f"{what}: expected {len(descriptor.blocks)} blocks, got {len(mats)}")
@@ -80,10 +81,10 @@ def _check_blocks(descriptor, mats, what, require_herm, tol):
                                f"expected {(d, d)}")
         if require_herm:
             defect = np.max(np.abs(m - m.conj().T)) if d else 0.0
-            if defect > tol:
+            if defect > HERM_TOL:
                 raise AlgebraError(
                     f"{what}: block {b} deviates from Hermitian by {defect:.3e} "
-                    f"(tolerance {tol:.1e})")
+                    f"(tolerance {HERM_TOL:.1e})")
             m = 0.5 * (m + m.conj().T)
         out.append(m)
     return out
@@ -96,11 +97,10 @@ class Element:
     algebra: AlgebraDescriptor
     blocks: list = field(repr=False)
     selfadjoint: bool = False
-    tols: Tolerances = field(default=DEFAULT_TOLS, repr=False, compare=False)
 
     def __post_init__(self):
         mats = _check_blocks(self.algebra, self.blocks, "Element",
-                             self.selfadjoint, self.tols.herm)
+                             self.selfadjoint)
         object.__setattr__(self, "blocks", mats)
 
     def scaled(self, a: float) -> "Element":
@@ -119,17 +119,16 @@ class FunctionalRep:
 
     algebra: AlgebraDescriptor
     blocks: list = field(repr=False)
-    tols: Tolerances = field(default=DEFAULT_TOLS, repr=False, compare=False)
 
     def __post_init__(self):
         mats = _check_blocks(self.algebra, self.blocks, "FunctionalRep",
-                             True, self.tols.herm)
+                             True)
         object.__setattr__(self, "blocks", mats)
 
     def pair(self, x: Element) -> float:
         """Trace pairing with a selfadjoint element; the value is real."""
         val = sum(np.trace(r @ m) for r, m in zip(self.blocks, x.blocks))
-        if abs(val.imag) > self.tols.imag:
+        if abs(val.imag) > IMAG_TOL:
             raise AlgebraError(
                 f"pairing has imaginary residue {val.imag:.3e} "
                 "(element not selfadjoint?)")

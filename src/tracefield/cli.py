@@ -29,7 +29,8 @@ from .reports import write_csv, write_json
 from .schemas import (decode_element, decode_extension_problem,
                       decode_instance, decode_map_field,
                       encode_extension_problem, encode_instance,
-                      encode_map_field, _expect, _floats, _integer, _scalar)
+                      encode_map_field, _algebra, _expect, _floats,
+                      _integer, _scalar)
 from .solvers import SolverError
 from .statespace import envelope_field, sample_state_space
 
@@ -37,22 +38,16 @@ _EXIT_OK, _EXIT_INPUT, _EXIT_VERIFY = 0, 1, 2
 
 
 def _parse_tols(pairs):
-    tols = DEFAULT_TOLS
     overrides = {}
     for pair in pairs or ():
-        if "=" not in pair:
+        key, eq, val = pair.partition("=")
+        if not eq:
             raise InputError(f"--tol expects KEY=VAL, got {pair!r}")
-        key, val = pair.split("=", 1)
         try:
             overrides[key.strip()] = float(val)
         except ValueError:
             raise InputError(f"--tol {key}: not a number: {val!r}")
-    if overrides:
-        try:
-            tols = tols.override(**overrides)
-        except KeyError as exc:
-            raise InputError(str(exc))
-    return tols
+    return DEFAULT_TOLS.override(**overrides)
 
 
 def _load_instance(path, expected_kind):
@@ -70,7 +65,7 @@ def _load_instance(path, expected_kind):
     return kind, payload
 
 
-def _base_report(command, instance_path, tols, seed):
+def _base_report(command, instance_path, tols, seed=None):
     return {
         "command": command,
         "instance": os.path.basename(instance_path) if instance_path else None,
@@ -89,7 +84,7 @@ def _cmd_decompose(args, tols):
 
     result = decompose_map(phi, tols)
     additivity = verify_norm_additivity(result)
-    report = _base_report("decompose", args.instance, tols, args.seed)
+    report = _base_report("decompose", args.instance, tols)
     report["results"] = {
         "nodes": phi.grid.n,
         "reconstruction_residual": result.reconstruction_residual,
@@ -128,7 +123,7 @@ def _cmd_extend(args, tols):
     problem, order = decode_extension_problem(payload, tols=tols)
     result = extend_full(problem, order)
     restriction = restriction_residual(result, problem)
-    report = _base_report("extend", args.instance, tols, args.seed)
+    report = _base_report("extend", args.instance, tols)
     report["results"] = {
         "restriction_residual": restriction,
         "final_domination_excess": result.final_excess,
@@ -215,7 +210,7 @@ def _cmd_verify(args, tols):
             ("map", "epsilon", "cutoff", "grid", "space", "phi", "seminorm",
              "delta", "order"), "verify")
     target = payload["target"]
-    report = _base_report("verify", args.instance, tols, args.seed)
+    report = _base_report("verify", args.instance, tols)
     if target == "decompose":
         phi = decode_map_field(payload["map"])
         result = decompose_map(phi, tols)
@@ -263,43 +258,62 @@ def _cmd_verify(args, tols):
     return _EXIT_OK if ok else _EXIT_VERIFY
 
 
+def _gauge_kind(x, path):
+    if x not in ("scaled_norm", "max_abs_linear"):
+        raise InputError(f"{path}: unknown gauge kind {x!r}")
+    return x
+
+
+# the params each family reads, besides "nodes", with their decoders
+_GENERATE_PARAMS = {
+    "smooth": {"blocks": lambda x, path: list(_algebra(x, path).blocks)},
+    "crossing": {"angle": _scalar},
+    "extension": {"dim": lambda x, path: _integer(x, path, 1),
+                  "dim_y": lambda x, path: _integer(x, path, 1),
+                  "delta": _scalar, "margin": _scalar,
+                  "gauge_kind": _gauge_kind},
+}
+
+
 def _cmd_generate(args, tols):
     if args.instance:
         _, payload = _load_instance(args.instance, "generate")
         _expect(payload, ("family", "seed"), ("params",), "generate")
         family = payload["family"]
-        seed = int(payload["seed"]) if args.seed is None else args.seed
+        seed = _integer(payload["seed"], "generate.seed", 0) \
+            if args.seed is None else args.seed
         params = payload.get("params", {})
     else:
         if args.family is None:
             raise InputError("generate needs an instance file or --family")
         family, seed, params = args.family, (args.seed or 0), {}
-    nodes = int(params.get("nodes", args.nodes))
+    if not isinstance(family, str) or family not in _GENERATE_PARAMS:
+        raise InputError(f"generate.family: unknown family {family!r}")
+    decoders = {"nodes": lambda x, path: _integer(x, path, 2),
+                **_GENERATE_PARAMS[family]}
+    _expect(params, (), tuple(decoders), "generate.params")
+    params = {key: decoders[key](val, f"generate.params.{key}")
+              for key, val in params.items()}
+    nodes = params.get("nodes", args.nodes)
     grid = path_grid(nodes)
 
     if family == "smooth":
-        blocks = [int(b) for b in params.get("blocks", [2])]
-        phi = smooth_map_field(blocks, grid, seed)
+        phi = smooth_map_field(params.get("blocks", [2]), grid, seed)
         instance = encode_instance("decompose",
                                    {"map": encode_map_field(phi)})
-        name = f"smooth_seed{seed}.json"
     elif family == "crossing":
-        phi = crossing_map_field(grid, angle=float(params.get("angle", 0.0)))
+        phi = crossing_map_field(grid, angle=params.get("angle", 0.0))
         instance = encode_instance("decompose",
                                    {"map": encode_map_field(phi)})
-        name = f"crossing_seed{seed}.json"
-    elif family == "extension":
+    else:
         problem = extension_instance(
-            seed, n_nodes=nodes, dim=int(params.get("dim", 4)),
-            dim_y=int(params.get("dim_y", 2)),
-            delta=float(params.get("delta", 0.1)),
-            margin=float(params.get("margin", 0.5)),
+            seed, n_nodes=nodes, dim=params.get("dim", 4),
+            dim_y=params.get("dim_y", 2), delta=params.get("delta", 0.1),
+            margin=params.get("margin", 0.5),
             gauge_kind=params.get("gauge_kind", "scaled_norm"))
         instance = encode_instance("extend",
                                    encode_extension_problem(problem))
-        name = f"extension_seed{seed}.json"
-    else:
-        raise InputError(f"generate: unknown family {family!r}")
+    name = f"{family}_seed{seed}.json"
 
     out_path = os.path.join(args.out, name)
     write_json(out_path, instance)
@@ -334,14 +348,18 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
+        p.set_defaults(tol=None)
         p.add_argument("instance", nargs="?" if name == "generate" else None,
                        help="instance JSON file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--refine", type=int, default=None,
-                       help="refinement levels for continuity studies")
-        p.add_argument("--tol", action="append", metavar="KEY=VAL",
-                       help="tolerance override (repeatable)")
+        if name in ("envelope", "generate"):
+            p.add_argument("--seed", type=int, default=None)
+        if name == "decompose":
+            p.add_argument("--refine", type=int, default=None,
+                           help="refinement levels for continuity studies")
+        if name in ("decompose", "extend", "verify"):
+            p.add_argument("--tol", action="append", metavar="KEY=VAL",
+                           help="tolerance override (repeatable)")
         if name == "generate":
             p.add_argument("--family",
                            choices=("smooth", "crossing", "extension"))

@@ -1,8 +1,8 @@
 """Shared numerical tolerances.
 
-All engines read their thresholds from a :class:`Tolerances` value so that a
-run can override any of them (CLI flag ``--tol KEY=VAL``) and reports can echo
-the effective settings.
+The split, the extension engine and the CLI verdicts read these thresholds
+from a :class:`Tolerances` value so that a run can override any of them (CLI
+flag ``--tol KEY=VAL``) and reports can echo the effective settings.
 """
 
 from dataclasses import dataclass, replace, asdict
@@ -10,18 +10,15 @@ from dataclasses import dataclass, replace, asdict
 
 @dataclass(frozen=True)
 class Tolerances:
-    herm: float = 1e-12        # max allowed deviation from Hermitian symmetry
     eig_zero: float = 1e-12    # eigenvalues below this count as kernel
     residual: float = 1e-10    # exact-identity residuals (reconstruction etc.)
     solver: float = 1e-8       # convex solver / certificate slack
-    imag: float = 1e-10        # max imaginary residue on selfadjoint data
-    infinity_cutoff: float = 1e-6   # smallness threshold at infinity nodes
     select_guard: float = 1e-9      # tube shrink guard before selection
 
     def override(self, **kwargs) -> "Tolerances":
         unknown = set(kwargs) - set(self.as_dict())
         if unknown:
-            raise KeyError(f"unknown tolerance keys: {sorted(unknown)}")
+            raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
         return replace(self, **kwargs)
 
     def as_dict(self) -> dict:

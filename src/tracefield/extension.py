@@ -26,7 +26,9 @@ from .solvers import (NormTerm, minimize_batched, minimize_norm_sum,
                       tube_tv_graph)
 
 _SPHERE_SEED = 577215664
+_SPHERE_SAMPLES = 5000   # normalized subspace samples of the sphere table
 _CERT_SEED = 141421356
+_FINAL_SAMPLES = 1000    # random points of the final domination check
 
 
 @dataclass
@@ -67,28 +69,20 @@ class ExtensionProblem:
                             rng.standard_normal((64, k_y))])
         worst = _sampled_excess(self.gauge, coeffs @ self.model.subspace,
                                 coeffs @ self.phi.T)
-        if worst > 1e-9:
+        if not worst <= 1e-9:
             raise InputError(
                 f"input map is not dominated by the gauge (excess {worst:.3e})")
-
-    def phi_values(self, coeffs):
-        """phi at subspace coordinate stacks: (..., n_nodes, kY) -> (..., n_nodes)."""
-        return np.einsum("...tj,tj->...t", coeffs, self.phi)
 
 
 @dataclass(frozen=True)
 class RadiusCertificate:
     radius: float
     margin: float
-    witness_direction: np.ndarray | None
-    witness_node: int | None
-    degenerate_nodes: tuple
-    sphere_samples: int
 
 
-def sphere_table(model: VectorSpaceModel, gauge: Gauge, phi,
-                 count: int = 5000):
-    """Gauge and map values on normalized samples of the unit sphere of Y.
+def sphere_table(model: VectorSpaceModel, gauge: Gauge, phi):
+    """Gauge and map values on ``_SPHERE_SAMPLES`` normalized samples of
+    the unit sphere of Y.
 
     Returns ``(g, p, dirs)``: ``g[s, t]`` is the gauge and ``p[s, t]`` the
     map at sample s and node t, and ``dirs[s]`` holds the sample's
@@ -96,27 +90,28 @@ def sphere_table(model: VectorSpaceModel, gauge: Gauge, phi,
     ``_SPHERE_SEED``; the first 2 kY are the signed basis vectors.
     """
     k = model.subspace.shape[0]
-    dirs = np.random.default_rng(_SPHERE_SEED).standard_normal((count, k))
-    dirs[:2 * k] = np.vstack([np.eye(k), -np.eye(k)])[:min(2 * k, count)]
+    dirs = np.random.default_rng(_SPHERE_SEED).standard_normal(
+        (_SPHERE_SAMPLES, k))
+    dirs[:2 * k] = np.vstack([np.eye(k), -np.eye(k)])
     y_amb = dirs @ model.subspace
     norms = model.norm.value(y_amb)
     y_amb = y_amb / norms[:, None]
     dirs = dirs / norms[:, None]
     g = gauge.values(np.broadcast_to(
-        y_amb[:, None, :], (count, gauge.n_nodes, model.dim)))
+        y_amb[:, None, :], (_SPHERE_SAMPLES, gauge.n_nodes, model.dim)))
     return g, dirs @ np.asarray(phi).T, dirs
 
 
-def radius_bound(problem: ExtensionProblem, x, gauge: Gauge = None,
-                 samples: int = 1000) -> RadiusCertificate:
+def radius_bound(problem: ExtensionProblem, x,
+                 gauge: Gauge = None) -> RadiusCertificate:
     """Coercivity margin on the unit sphere of Y and a safe search radius.
 
-    The margin is the least gauge-minus-map value over the
-    ``5 * samples`` normalized subspace samples of :func:`sphere_table`
-    and the nodes.  Nodes where the gauge vanishes on the whole subspace
-    are exempt (the extension there is forced to zero) provided the map
-    vanishes too.  Raises :class:`CoercivityError` when the margin is not
-    positive, naming the violating direction.
+    The margin is the least gauge-minus-map value over the normalized
+    subspace samples of :func:`sphere_table` and the nodes.  Nodes where
+    the gauge vanishes on the whole subspace are exempt (the extension
+    there is forced to zero) provided the map vanishes too.  Raises
+    :class:`CoercivityError` when the margin is not positive, naming the
+    violating direction.
     """
     x = np.asarray(x, dtype=float)
     model, grid = problem.model, problem.grid
@@ -124,10 +119,9 @@ def radius_bound(problem: ExtensionProblem, x, gauge: Gauge = None,
     k_y = model.subspace.shape[0]
     x_gauge = gauge.values(np.broadcast_to(x, (grid.n, model.dim)))
     if k_y == 0:
-        return RadiusCertificate(0.0, np.inf, None, None, (), 0)
+        return RadiusCertificate(0.0, np.inf)
 
-    total = samples + 4 * samples
-    g1, p1, d1 = sphere_table(model, gauge, problem.phi, total)
+    g1, p1, d1 = sphere_table(model, gauge, problem.phi)
     m1 = g1 - p1
 
     # nodes where the gauge kills the whole subspace: extension forced there
@@ -143,7 +137,7 @@ def radius_bound(problem: ExtensionProblem, x, gauge: Gauge = None,
     live = ~dead
     if not np.any(live):
         # everything is forced; any radius works
-        return RadiusCertificate(0.0, np.inf, None, None, degenerate, total)
+        return RadiusCertificate(0.0, np.inf)
 
     m_live = m1[:, live]
     flat = int(np.argmin(m_live))
@@ -156,8 +150,7 @@ def radius_bound(problem: ExtensionProblem, x, gauge: Gauge = None,
             f"{np.round(d1[s_idx], 6).tolist()} at node {node}")
     phi_scale = float(np.max(np.abs(p1)))
     radius = (2.0 * float(np.max(x_gauge)) + phi_scale) / margin
-    return RadiusCertificate(radius, margin, d1[s_idx], node, degenerate,
-                             total)
+    return RadiusCertificate(radius, margin)
 
 
 @dataclass(frozen=True)
@@ -237,16 +230,10 @@ def _conic_envelopes(problem, x, terms, radius):
         A = np.zeros(P.shape[:-1] + (k,))
         A[..., :k_y] = P @ b.T
         if t.Y is not None:
-            # a minimizing y has N(Pz + Yy) <= N(Pz), so |Pz + Yy| is at
-            # most sqrt(rows) |Pz| and |y| <= |Y⁺| (sqrt(rows) + 1) |P| |z|
             col = sum(m.shape[1] for m in balls)
             r = t.Y.shape[-1]
             A[..., col:col + r] = t.Y
-            flat = t.Y.reshape(-1, r)
-            y_max = (np.sqrt(flat.shape[0]) + 1.0) * z_max \
-                * np.linalg.norm(P.reshape(-1, dim), 2) \
-                / np.linalg.svd(flat, compute_uv=False)[-1]
-            balls.append(np.eye(r) / y_max)
+            balls.append(np.eye(r) / t.y_bound(z_max))
         b_x = P @ x
         if P.shape[0] > 1:
             A, b_x = np.concatenate([A, A]), np.concatenate([b_x, b_x])
@@ -269,8 +256,8 @@ def _pattern_envelopes(problem, x, gauge, radius):
 
     def solve(sign):
         def fun(coeffs):
-            return (gauge.values(coeffs @ b + x)
-                    + sign * problem.phi_values(coeffs))
+            phi = np.einsum("...tj,tj->...t", coeffs, problem.phi)
+            return gauge.values(coeffs @ b + x) + sign * phi
 
         _, vals = minimize_batched(
             fun, b.shape[0], n_nodes=n, radius=radius,
@@ -496,10 +483,10 @@ def extend_full(problem: ExtensionProblem, order=None) -> ExtensionResult:
                            steps, final_excess)
 
 
-def _final_excess(problem: ExtensionProblem, matrix, count=1000):
+def _final_excess(problem: ExtensionProblem, matrix):
     """max over random z of |phi_tilde(z)| - m(z) - 2 delta ||z||."""
     zs = np.random.default_rng(_CERT_SEED).standard_normal(
-        (count, problem.model.dim))
+        (_FINAL_SAMPLES, problem.model.dim))
     slack = 2.0 * problem.delta * problem.model.norm.value(zs)[:, None]
     return _sampled_excess(problem.gauge, zs, zs @ matrix.T, slack)
 

@@ -12,9 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraDescriptor, AlgebraError, Element, FunctionalRep
-from .config import Tolerances, DEFAULT_TOLS
+from .algebra import (HERM_TOL, IMAG_TOL, AlgebraDescriptor, AlgebraError,
+                      Element, FunctionalRep)
 from .grids import Grid, modulus_of_continuity
+
+INFINITY_CUTOFF = 1e-6   # smallness threshold at infinity nodes
 
 
 @dataclass(frozen=True)
@@ -29,7 +31,6 @@ class MapField:
     grid: Grid
     algebra: AlgebraDescriptor
     stacks: list = field(repr=False)
-    tols: Tolerances = field(default=DEFAULT_TOLS, repr=False, compare=False)
 
     def __post_init__(self):
         stacks = []
@@ -40,7 +41,7 @@ class MapField:
                     f"MapField block {b}: shape {s.shape}, expected "
                     f"{(self.grid.n, d, d)}")
             defect = np.max(np.abs(s - np.conj(np.transpose(s, (0, 2, 1)))))
-            if defect > self.tols.herm:
+            if defect > HERM_TOL:
                 raise AlgebraError(
                     f"MapField block {b}: Hermitian defect {defect:.3e}")
             stacks.append(0.5 * (s + np.conj(np.transpose(s, (0, 2, 1)))))
@@ -102,7 +103,7 @@ def evaluate(phi: MapField, x: Element) -> np.ndarray:
     for s, m in zip(phi.stacks, x.blocks):
         vals += np.einsum("nij,ji->n", s, m)
     resid = float(np.max(np.abs(vals.imag))) if phi.grid.n else 0.0
-    if resid > phi.tols.imag:
+    if resid > IMAG_TOL:
         raise AlgebraError(f"evaluation has imaginary residue {resid:.3e}")
     return vals.real
 
@@ -133,7 +134,7 @@ def is_absolutely_continuous(phi: MapField, epsilon: float,
     entries may jump without failing this test.
     """
     if cutoff is None:
-        cutoff = phi.tols.infinity_cutoff
+        cutoff = INFINITY_CUTOFF
     norms = pointwise_norm(phi)
     mod = modulus_of_continuity(norms, phi.grid)
     if phi.grid.infinity:

@@ -21,7 +21,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .solvers import lp_solve, minimize_batched, orthonormal_rows
+from .solvers import (NormTerm, minimize_batched, minimize_norm_sum,
+                      orthonormal_rows)
+
+
+# (point, problem) pairs per gauge or solver call of a blocked loop
+_BLOCK = 1 << 14
 
 
 class SeminormError(ValueError):
@@ -74,34 +79,45 @@ class BaseNorm:
 class SubspaceDistance:
     """Distance from a point to the span of basis rows, in a base norm.
 
-    The Euclidean case uses an orthogonal projector; p = 1 and p = inf go
-    through a small linear program per evaluated point.
+    The Euclidean case uses an orthogonal projector; p = 1 and p = inf
+    minimize the distance term over its free coordinates with
+    :func:`~tracefield.solvers.minimize_norm_sum`, one batch per block of
+    ``_BLOCK`` points.
     """
 
     def __init__(self, basis_rows, norm: BaseNorm):
         self.norm = norm
         basis_rows = np.atleast_2d(np.asarray(basis_rows, dtype=float))
         if basis_rows.size == 0:
-            basis_rows = basis_rows.reshape(0, basis_rows.shape[-1]
-                                            if basis_rows.ndim == 2 else 0)
+            basis_rows = basis_rows.reshape(0, basis_rows.shape[-1])
         self.basis = basis_rows
-        w = norm.weights
-        scaled = basis_rows if w is None else basis_rows * w
-        self._q = orthonormal_rows(scaled)          # weighted coords, p = 2
-        dim = basis_rows.shape[1]
-        self._residual_op = np.eye(dim) - self._q.T @ self._q
-
-    def _residual(self, z):
-        zw = z if self.norm.weights is None else z * self.norm.weights
-        return zw @ self._residual_op
+        q = orthonormal_rows(norm._scaled(basis_rows))   # weighted, p = 2
+        self._residual_op = np.eye(basis_rows.shape[1]) - q.T @ q
 
     def value(self, z):
         z = np.asarray(z, dtype=float)
         if self.norm.p == 2.0:
-            resid = self._residual(z)
+            resid = self.norm._scaled(z) @ self._residual_op
             return np.sqrt(np.einsum("...i,...i->...", resid, resid))
+        term = self.term(1.0)
+        if term.Y is None:
+            return self.norm.value(z)
+        # the distance of 0 is 0; every other point is one problem over a
+        # ball of free coordinates that holds a minimizer
         flat = z.reshape(-1, z.shape[-1])
-        out = np.array([self._lp_value(row)[0] for row in flat])
+        out = np.zeros(flat.shape[0])
+        live = np.flatnonzero(np.any(flat != 0.0, axis=1))
+        r = term.Y.shape[-1]
+        for i in range(0, live.size, _BLOCK):
+            idx = live[i:i + _BLOCK]
+            # one C-ordered copy of Y per point: numpy's products then take
+            # the same path for any block size
+            A = np.repeat(term.Y[None], idx.size, axis=0)
+            b = np.einsum("gsd,nd->ngs", term.P[0], flat[idx])
+            _, out[idx], _ = minimize_norm_sum(
+                [NormTerm(term.weight, A, b, term.maxabs)],
+                np.zeros((idx.size, r)), np.eye(r),
+                term.y_bound(np.linalg.norm(flat[idx], axis=1)))
         return out.reshape(z.shape[:-1])
 
     def term(self, weight):
@@ -115,31 +131,6 @@ class SubspaceDistance:
             return GaugeTerm(weight, P[None, None])
         q = orthonormal_rows(self.basis)
         return self.norm.term(weight, dim, -q.T if q.shape[0] else None)
-
-    def _lp_value(self, z):
-        if self.basis.shape[0] == 0:
-            return float(self.norm.value(z)), np.zeros_like(z)
-        k, n = self.basis.shape
-        w = np.ones(n) if self.norm.weights is None else self.norm.weights
-        bt = (self.basis * w).T  # (n, k)
-        zw = z * w
-        if self.norm.p == float("inf"):
-            # vars (c, s): minimize s subject to |zw - bt c| <= s
-            a_ub = np.block([[-bt, -np.ones((n, 1))], [bt, -np.ones((n, 1))]])
-            b_ub = np.concatenate([-zw, zw])
-            c_obj = np.zeros(k + 1)
-            c_obj[-1] = 1.0
-            bounds = [(None, None)] * k + [(0, None)]
-        else:
-            # vars (c, s_1..s_n): minimize sum s subject to |zw - bt c| <= s
-            a_ub = np.block([[-bt, -np.eye(n)], [bt, -np.eye(n)]])
-            b_ub = np.concatenate([-zw, zw])
-            c_obj = np.concatenate([np.zeros(k), np.ones(n)])
-            bounds = [(None, None)] * k + [(0, None)] * n
-        res = lp_solve(c_obj, A_ub=a_ub, b_ub=b_ub, bounds=bounds,
-                       context="subspace distance LP")
-        coeff = res.x[:k]
-        return float(res.fun), (self.basis.T @ coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +147,16 @@ class GaugeTerm(NamedTuple):
     P: np.ndarray
     maxabs: bool = False
     Y: np.ndarray | None = None
+
+    def y_bound(self, z_norm):
+        """Radius of a Euclidean ball of free coordinates that holds a
+        minimizing y for every z with |z| <= ``z_norm``: a minimizing y has
+        N(Pz + Yy) <= N(Pz), so |Pz + Yy| is at most sqrt(rows) |Pz| and
+        |y| <= |Y⁺| (sqrt(rows) + 1) |P| |z|."""
+        flat = self.Y.reshape(-1, self.Y.shape[-1])
+        return (np.sqrt(flat.shape[0]) + 1.0) * z_norm \
+            * np.linalg.norm(self.P.reshape(-1, self.P.shape[-1]), 2) \
+            / np.linalg.svd(flat, compute_uv=False)[-1]
 
 
 def _joined(parts):
@@ -213,8 +214,9 @@ def _as_field(c, n_nodes):
     if c.shape != (n_nodes,):
         raise SeminormError(f"node field has shape {c.shape}, "
                             f"expected ({n_nodes},)")
-    if np.any(c < 0):
-        raise SeminormError("gauge scale fields must be nonnegative")
+    if not np.all(np.isfinite(c) & (c >= 0)):
+        raise SeminormError("gauge scale fields must be finite and "
+                            "nonnegative")
     return c
 
 
@@ -307,19 +309,15 @@ class AugmentedGauge(Gauge):
         self.n_nodes = base.n_nodes
         self.terms = list(terms)
 
-    def _term_values(self, delta, dist, Z):
-        if isinstance(dist, SubspaceDistance):
-            return delta * dist.value(Z)
-        out = np.zeros(Z.shape[:-1])
-        for t in range(self.n_nodes):
-            out[..., t] = delta * dist[t].value(Z[..., t, :])
-        return out
-
     def values(self, Z):
         Z = self._check_shape(Z)
         vals = self.base.values(Z)
         for delta, dist in self.terms:
-            vals = vals + self._term_values(delta, dist, Z)
+            if isinstance(dist, SubspaceDistance):
+                vals = vals + delta * dist.value(Z)
+            else:
+                vals = vals + delta * np.stack(
+                    [d.value(Z[..., t, :]) for t, d in enumerate(dist)], -1)
         return vals
 
     def norm_terms(self):
@@ -366,9 +364,6 @@ class PiecewiseNodes(Gauge):
         vi, _ = self.inside.value_nodes(z, extra)
         vo, _ = self.outside.value_nodes(z, extra)
         return np.where(self.mask, vi, vo), None
-
-
-_BLOCK = 1 << 14   # (point, problem) pairs per gauge call of a blocked loop
 
 
 def _lattice(radius, pts, k, rows=slice(None)):

@@ -205,6 +205,26 @@ def scaled_norm_envelopes(subspace, phi, x, c):
     return phi @ coeff - root, phi @ coeff + root
 
 
+def subspace_distance_lp(basis, z, p, weights=None):
+    """min over c of ||w . (z - basisᵀ c)||_p for p in {1, inf}, as one
+    linear program: c plus one epigraph bound s on every |entry| (p = 1)
+    or on all of them (p = inf)."""
+    k, n = basis.shape
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    bt = (basis * w).T
+    zw = z * w
+    n_s = 1 if p == np.inf else n
+    s_cols = np.ones((n, 1)) if n_s == 1 else np.eye(n)
+    a_ub = np.block([[-bt, -s_cols], [bt, -s_cols]])
+    b_ub = np.concatenate([-zw, zw])
+    c_obj = np.concatenate([np.zeros(k), np.ones(n_s)])
+    res = linprog(c_obj, A_ub=a_ub, b_ub=b_ub,
+                  bounds=[(None, None)] * k + [(0, None)] * n_s,
+                  method="highs")
+    assert res.success, res.message
+    return float(res.fun)
+
+
 def augmented_max_abs_lp(subspace, phi, x, functionals, scale, dists, sign):
     """Per-node minimum of  scale_t max_k |a_k . z| + sum_j d_j dist_j(z)
     + sign phi_t . c  at z = c B + x, for polyhedral distances.

@@ -213,6 +213,16 @@ class TestSelection:
                                    abs=1e-8)
 
 
+class TestProblemValidation:
+    def test_nan_map_is_not_dominated(self):
+        g = path_grid(5)
+        model = VectorSpaceModel(2, BaseNorm(2.0), E2[:1], E2[1:])
+        phi = np.ones((g.n, 1))
+        phi[3, 0] = np.nan
+        with pytest.raises(InputError, match="not dominated"):
+            ExtensionProblem(g, model, ScaledNorm(2.0, g.n, 2), phi, 0.1)
+
+
 class TestExtendOne:
     def test_rejects_direction_inside_subspace(self):
         problem = sqrt3_problem()

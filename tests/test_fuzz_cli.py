@@ -113,6 +113,9 @@ def test_malformed_instance_exits_1_naming_its_path(tmp_path, capsys,
     path = places[pick % len(places)]
     mutate(payload, kind, path, value)
     inst = tmp_path / "inst.json"
+    # a new file each time: ext4 flushes a file that is truncated and
+    # rewritten (auto_da_alloc), which costs tens of milliseconds
+    inst.unlink(missing_ok=True)
     inst.write_text(json.dumps(encode_instance(command, payload)))
     code = main([command, str(inst), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err

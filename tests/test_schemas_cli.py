@@ -477,3 +477,45 @@ class TestCLI:
         with pytest.raises(SystemExit) as exc:
             main(["extend", "--help"])
         assert exc.value.code == 0
+
+    @pytest.mark.parametrize("key", ["herm", "imag", "infinity_cutoff"])
+    def test_removed_tolerance_keys_exit_1(self, tmp_path, capsys, key):
+        path = decompose_instance(tmp_path)
+        out = tmp_path / "o"
+        assert main(["decompose", path, "--out", str(out),
+                     "--tol", f"{key}=1e-6"]) == 1
+        assert f"unknown tolerance keys: ['{key}']" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("extend", "--refine"), ("extend", "--seed"), ("verify", "--seed"),
+        ("decompose", "--seed"), ("envelope", "--refine"),
+        ("envelope", "--tol"), ("generate", "--tol"),
+    ])
+    def test_flags_only_where_read(self, tmp_path, capsys, command, flag):
+        problem = extension_instance(6, n_nodes=8, dim=3, dim_y=1,
+                                     delta=0.1, margin=0.5)
+        path = write_instance(tmp_path, "ext.json", encode_instance(
+            "extend", encode_extension_problem(problem)))
+        value = "solver=1e-6" if flag == "--tol" else "2"
+        out = tmp_path / "o"
+        assert main([command, path, flag, value, "--out", str(out)]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("params, where", [
+        ({"margin": float("nan")}, "generate.params.margin: non-finite"),
+        ({"dim": 3.7}, "generate.params.dim: expected an integer"),
+        ({"bogus": 1}, "generate.params: unknown keys ['bogus']"),
+        ({"nodes": 1}, "generate.params.nodes: expected at least 2"),
+        ({"gauge_kind": "mystery"}, "generate.params.gauge_kind"),
+    ])
+    def test_generate_params_name_their_path(self, tmp_path, capsys,
+                                             params, where):
+        path = write_instance(tmp_path, "gen.json", encode_instance(
+            "generate", {"family": "extension", "seed": 3,
+                         "params": dict({"nodes": 6}, **params)}))
+        out = tmp_path / "o"
+        assert main(["generate", path, "--out", str(out)]) == 1
+        assert where in capsys.readouterr().err
+        assert not out.exists()

@@ -1,16 +1,19 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tracefield import seminorms
 from tracefield.seminorms import (AugmentedGauge, BaseNorm, MaxAbsLinear,
-                                  Quotient, ScaledNorm, SubspaceDistance,
-                                  SumGauge, VectorSpaceModel, balanced_chain,
+                                  Quotient, ScaledNorm, SeminormError,
+                                  SubspaceDistance, SumGauge,
+                                  VectorSpaceModel, balanced_chain,
                                   inf_convolve, quotient_seminorms)
 from tracefield.solvers import orthonormal_rows
 
-from oracles import quotient_bar_scan, scan_min_1d
+from oracles import quotient_bar_scan, scan_min_1d, subspace_distance_lp
 
 N_NODES = 6
 
@@ -26,6 +29,13 @@ def m_delta(m, model, delta):
 
 
 class TestEvalExamples:
+    @pytest.mark.parametrize("c", [np.nan, np.inf, -1.0])
+    def test_scale_field_must_be_finite_and_nonnegative(self, c):
+        with pytest.raises(SeminormError):
+            ScaledNorm([1.0, 1.0, c, 1.0, 1.0, 1.0], N_NODES, 3)
+        with pytest.raises(SeminormError):
+            MaxAbsLinear(np.eye(3), N_NODES, scale=c)
+
     def test_zero_vector(self):
         assert scaled2().value_nodes(np.zeros(3))[0][2] == 0.0
 
@@ -136,6 +146,25 @@ class TestSubspaceDistances:
         dist = SubspaceDistance(np.zeros((0, 4)), BaseNorm(1.0))
         z = rng.standard_normal(4)
         assert dist.value(z) == pytest.approx(np.sum(np.abs(z)))
+
+    def test_polyhedral_batch_matches_lp(self, monkeypatch):
+        # blocks of 3 points: the 6 nonzero points of each batch of 7 fill
+        # 2 blocks, with the two points in the span in different blocks
+        monkeypatch.setattr(seminorms, "_BLOCK", 3)
+        rng = np.random.default_rng(17)
+        for p, weighted, rank in itertools.product(
+                (1.0, np.inf), (False, True), (1, 2, 3)):
+            weights = rng.uniform(0.5, 2.0, 4) if weighted else None
+            basis = rng.standard_normal((rank, 4))
+            dist = SubspaceDistance(basis, BaseNorm(p, weights))
+            Z = np.vstack([rng.standard_normal((2, 4)), np.zeros(4),
+                           rng.standard_normal((2, rank)) @ basis,
+                           10.0 * rng.standard_normal((2, 4))])
+            got = dist.value(Z)
+            assert got[2] == 0.0
+            want = [subspace_distance_lp(basis, z, p, weights) for z in Z]
+            assert np.all(np.abs(got - want) <= 1e-10 * (1.0 + np.abs(want)))
+            assert np.array_equal([dist.value(z) for z in Z], got)
 
 
 class TestQuotientPair:
