@@ -107,11 +107,6 @@ class Element:
         return Element(self.algebra, [a * m for m in self.blocks],
                        selfadjoint=self.selfadjoint and np.isreal(a))
 
-    def add(self, other: "Element") -> "Element":
-        return Element(self.algebra,
-                       [m + n for m, n in zip(self.blocks, other.blocks)],
-                       selfadjoint=self.selfadjoint and other.selfadjoint)
-
 
 @dataclass(frozen=True)
 class FunctionalRep:
@@ -136,10 +131,6 @@ class FunctionalRep:
 
     def scaled(self, a: float) -> "FunctionalRep":
         return FunctionalRep(self.algebra, [a * m for m in self.blocks])
-
-    def add(self, other: "FunctionalRep") -> "FunctionalRep":
-        return FunctionalRep(self.algebra,
-                             [m + n for m, n in zip(self.blocks, other.blocks)])
 
 
 def _eigh(mat, context):

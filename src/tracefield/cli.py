@@ -77,7 +77,7 @@ def _base_report(command, instance_path, tols, seed=None):
 
 def _cmd_decompose(args, tols):
     _, payload = _load_instance(args.instance, "decompose")
-    _expect(payload, ("map",), ("refinements", "epsilon"), "decompose")
+    _expect(payload, ("map",), ("refinements",), "decompose")
     phi = decode_map_field(payload["map"])
     refinements = args.refine if args.refine is not None \
         else int(payload.get("refinements", 2))
@@ -204,12 +204,23 @@ def _cmd_envelope(args, tols):
     return _EXIT_OK if monotone else _EXIT_VERIFY
 
 
+# the required and the optional keys of each verify target, besides
+# "target"; the extension problem's decoder checks its own keys
+_VERIFY_KEYS = {
+    "decompose": (("map",), ()),
+    "extend": ((), ("grid", "space", "phi", "seminorm", "delta", "order")),
+    "absolute_continuity": (("map", "epsilon"), ("cutoff",)),
+}
+
+
 def _cmd_verify(args, tols):
     _, payload = _load_instance(args.instance, "verify")
-    _expect(payload, ("target",),
-            ("map", "epsilon", "cutoff", "grid", "space", "phi", "seminorm",
-             "delta", "order"), "verify")
-    target = payload["target"]
+    # the target decides which other keys are allowed
+    target = _expect(payload, ("target",), tuple(payload), "verify")["target"]
+    if not isinstance(target, str) or target not in _VERIFY_KEYS:
+        raise InputError(f"verify: unknown target {target!r}")
+    required, optional = _VERIFY_KEYS[target]
+    _expect(payload, ("target",) + required, optional, "verify")
     report = _base_report("verify", args.instance, tols)
     if target == "decompose":
         phi = decode_map_field(payload["map"])
@@ -225,9 +236,7 @@ def _cmd_verify(args, tols):
             "min_eigenvalue": result.min_eigenvalue,
         }
     elif target == "extend":
-        sub = {k: payload[k] for k in
-               ("grid", "space", "phi", "seminorm", "delta", "order")
-               if k in payload}
+        sub = {k: v for k, v in payload.items() if k != "target"}
         problem, order = decode_extension_problem(sub, tols=tols)
         result = extend_full(problem, order)
         restriction = restriction_residual(result, problem)
@@ -239,8 +248,6 @@ def _cmd_verify(args, tols):
         }
     elif target == "absolute_continuity":
         phi = decode_map_field(payload["map"])
-        if "epsilon" not in payload:
-            raise InputError("verify.absolute_continuity needs 'epsilon'")
         cutoff = payload.get("cutoff")
         if cutoff is not None:
             cutoff = _scalar(cutoff, "verify.cutoff")
@@ -252,8 +259,6 @@ def _cmd_verify(args, tols):
             "max_jump": rep.max_jump, "epsilon": rep.epsilon,
             "infinity_defect": rep.infinity_defect, "cutoff": rep.cutoff,
         }
-    else:
-        raise InputError(f"verify: unknown target {target!r}")
     write_json(os.path.join(args.out, "report.json"), report)
     return _EXIT_OK if ok else _EXIT_VERIFY
 

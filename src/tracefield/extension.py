@@ -97,8 +97,7 @@ def sphere_table(model: VectorSpaceModel, gauge: Gauge, phi):
     norms = model.norm.value(y_amb)
     y_amb = y_amb / norms[:, None]
     dirs = dirs / norms[:, None]
-    g = gauge.values(np.broadcast_to(
-        y_amb[:, None, :], (_SPHERE_SAMPLES, gauge.n_nodes, model.dim)))
+    g = gauge.values(y_amb[:, None, :])
     return g, dirs @ np.asarray(phi).T, dirs
 
 
@@ -114,10 +113,10 @@ def radius_bound(problem: ExtensionProblem, x,
     violating direction.
     """
     x = np.asarray(x, dtype=float)
-    model, grid = problem.model, problem.grid
+    model = problem.model
     gauge = gauge or problem.gauge
     k_y = model.subspace.shape[0]
-    x_gauge = gauge.values(np.broadcast_to(x, (grid.n, model.dim)))
+    x_gauge = gauge.values(x)
     if k_y == 0:
         return RadiusCertificate(0.0, np.inf)
 
@@ -191,7 +190,7 @@ def envelopes(problem: ExtensionProblem, x, gauge: Gauge = None,
     n = grid.n
 
     if k_y == 0 or radius == 0.0:
-        vals = gauge.values(np.broadcast_to(x, (n, model.dim)))
+        vals = gauge.values(x)
         pair = EnvelopePair(-vals, vals, 0.0, np.zeros(n))
     else:
         terms = gauge.norm_terms()
@@ -495,8 +494,7 @@ def _sampled_excess(gauge: Gauge, zs, vals, slack=0.0) -> float:
     """Sampled domination excess ``max |vals| - (m(z) + slack)`` of a map
     with values ``vals[s, t]`` at the points ``zs[s]``, over samples and
     nodes."""
-    g = gauge.values(np.broadcast_to(
-        zs[:, None, :], (zs.shape[0], gauge.n_nodes, zs.shape[1])))
+    g = gauge.values(zs[:, None, :])
     return float(np.max(np.abs(vals) - (g + slack)))
 
 

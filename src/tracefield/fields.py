@@ -58,10 +58,6 @@ class MapField:
         return MapField(self.grid, self.algebra,
                         [a[:, None, None] * s for s in self.stacks])
 
-    def add(self, other: "MapField") -> "MapField":
-        return MapField(self.grid, self.algebra,
-                        [s + o for s, o in zip(self.stacks, other.stacks)])
-
 
 def constant_map_field(grid: Grid, rho: FunctionalRep) -> MapField:
     stacks = [np.broadcast_to(m, (grid.n,) + m.shape).copy()

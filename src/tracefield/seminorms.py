@@ -110,9 +110,7 @@ class SubspaceDistance:
         r = term.Y.shape[-1]
         for i in range(0, live.size, _BLOCK):
             idx = live[i:i + _BLOCK]
-            # one C-ordered copy of Y per point: numpy's products then take
-            # the same path for any block size
-            A = np.repeat(term.Y[None], idx.size, axis=0)
+            A = np.broadcast_to(term.Y, (idx.size,) + term.Y.shape)
             b = np.einsum("gsd,nd->ngs", term.P[0], flat[idx])
             _, out[idx], _ = minimize_norm_sum(
                 [NormTerm(term.weight, A, b, term.maxabs)],
@@ -179,7 +177,9 @@ class Gauge:
     n_nodes: int
 
     def values(self, Z) -> np.ndarray:
-        """Z has shape (..., n_nodes, dim); returns (..., n_nodes)."""
+        """Z broadcasts against (n_nodes, dim): it has shape (..., n_nodes,
+        dim), or (..., 1, dim) or (dim,) for a point shared by all nodes,
+        which is evaluated once.  Returns (..., n_nodes)."""
         raise NotImplementedError
 
     def norm_terms(self):
@@ -187,24 +187,19 @@ class Gauge:
         inf-type kinds, which have no such closed form."""
         return None
 
-    def value_nodes(self, z, extra=None):
-        """Evaluate one ambient vector at every node.
-
-        Returns ``(values, witnesses)`` where witnesses are the inner
-        minimizers of inf-type kinds (None for closed-form kinds).  ``extra``
-        is a list of ambient candidate vectors injected into inner solves.
-        """
-        z = np.asarray(z, dtype=float)
-        Z = np.broadcast_to(z, (self.n_nodes, self.dim))
-        return self.values(Z), None
-
     def _check_shape(self, Z):
         Z = np.asarray(Z, dtype=float)
-        if Z.shape[-2:] != (self.n_nodes, self.dim):
+        if Z.shape[-1:] != (self.dim,) or \
+                Z.ndim > 1 and Z.shape[-2] not in (1, self.n_nodes):
             raise SeminormError(
                 f"gauge expects (..., {self.n_nodes}, {self.dim}), "
-                f"got {Z.shape}")
+                f"(..., 1, {self.dim}) or ({self.dim},), got {Z.shape}")
         return Z
+
+    def _full(self, Z):
+        """Z checked and broadcast to (..., n_nodes, dim), as a view."""
+        Z = self._check_shape(Z)
+        return np.broadcast_to(Z, Z.shape[:-2] + (self.n_nodes, self.dim))
 
 
 def _as_field(c, n_nodes):
@@ -250,7 +245,9 @@ class MaxAbsLinear(Gauge):
         self.scale = _as_field(scale, self.n_nodes)
 
     def values(self, Z):
-        Z = self._check_shape(Z)
+        # the product runs on the full node axis: BLAS rounds a shared
+        # (..., 1, dim) point differently
+        Z = self._full(Z)
         return self.scale * np.max(np.abs(Z @ self.functionals.T), axis=-1)
 
     def norm_terms(self):
@@ -291,16 +288,13 @@ class ScaledByField(Gauge):
     def norm_terms(self):
         return _scaled_terms(self.inner.norm_terms(), self.factor)
 
-    def value_nodes(self, z, extra=None):
-        vals, wit = self.inner.value_nodes(z, extra)
-        return self.factor * vals, wit
-
 
 class AugmentedGauge(Gauge):
     """m(z)(t) + sum_k delta_k * dist(z, W_k(t)) in the model's base norm.
 
     ``terms`` is a list of (delta, dist) pairs where ``dist`` is either one
-    shared :class:`SubspaceDistance` or a per-node list of them.
+    shared :class:`SubspaceDistance`, evaluated once per shared point, or a
+    per-node list of them.
     """
 
     def __init__(self, base: Gauge, terms):
@@ -316,8 +310,9 @@ class AugmentedGauge(Gauge):
             if isinstance(dist, SubspaceDistance):
                 vals = vals + delta * dist.value(Z)
             else:
+                Zt = self._full(Z)
                 vals = vals + delta * np.stack(
-                    [d.value(Z[..., t, :]) for t, d in enumerate(dist)], -1)
+                    [d.value(Zt[..., t, :]) for t, d in enumerate(dist)], -1)
         return vals
 
     def norm_terms(self):
@@ -359,11 +354,6 @@ class PiecewiseNodes(Gauge):
         inside = _scaled_terms(self.inside.norm_terms(), self.mask)
         outside = _scaled_terms(self.outside.norm_terms(), ~self.mask)
         return _joined([inside, outside])
-
-    def value_nodes(self, z, extra=None):
-        vi, _ = self.inside.value_nodes(z, extra)
-        vo, _ = self.outside.value_nodes(z, extra)
-        return np.where(self.mask, vi, vo), None
 
 
 def _lattice(radius, pts, k, rows=slice(None)):
@@ -419,17 +409,19 @@ def _with_extra(cands, extra, shape):
 class _BatchSolved(Gauge):
     """Inf-type gauge: ``_solve(Z, extra)`` takes a batch Z (P, n, dim), in
     which problem (p, t) is the vector ``Z[p, t]`` at node t, and returns
-    values (P, n) and inner minimizers (P, n, dim)."""
+    values (P, n) and inner minimizers (P, n, dim).  Every problem is its
+    own inner solve, so a shared point is broadcast to the nodes."""
 
     def values(self, Z):
-        Z = self._check_shape(Z)
+        Z = self._full(Z)
         vals, _ = self._solve(Z.reshape(-1, self.n_nodes, self.dim))
         return vals.reshape(Z.shape[:-1])
 
     def value_nodes(self, z, extra=None):
-        z = np.asarray(z, dtype=float)
-        vals, wit = self._solve(
-            np.broadcast_to(z, (1, self.n_nodes, self.dim)), extra)
+        """One ambient vector z at every node: ``(values, witnesses)``, the
+        witnesses being the inner minimizers.  ``extra`` lists ambient
+        candidate vectors injected into the inner solves."""
+        vals, wit = self._solve(self._full(z)[None], extra)
         return vals[0], wit[0]
 
 
@@ -466,16 +458,15 @@ class _QuotientCore:
 
     def _radius(self, Z):
         """Search radius of every problem, flattened to (P n,).  It reads
-        m(z) at every node, for a block of vectors z at a time."""
+        m(z) at every node, for a block of shared points z at a time."""
         n, dim = Z.shape[1:]
         flat = Z.reshape(-1, dim)
         norm_z = self.norm.value(flat)
         m_max = np.empty(flat.shape[0])
         block = max(1, _BLOCK // max(n, 1))
         for i in range(0, flat.shape[0], block):
-            zs = flat[i:i + block]
-            m_max[i:i + block] = self.m.values(np.broadcast_to(
-                zs[:, None, :], (zs.shape[0], n, dim))).max(axis=-1)
+            m_max[i:i + block] = self.m.values(
+                flat[i:i + block, None, :]).max(axis=-1)
         return norm_z + (m_max + self.delta * norm_z) / self.delta + 1.0
 
     def pair_values(self, Z, extra=None):
@@ -590,7 +581,9 @@ class VectorSpaceModel:
 
     ``subspace`` and ``complement`` are basis rows; together they must span
     R^dim.  ``nilspace`` optionally lists extra per-node zero directions of
-    the seminorm (one shared row block, or one per node).
+    the seminorm (one shared row block, or one per node).  Per-node
+    nilspaces cannot be serialised, and only the tests'
+    ``TestPartitionGlobalization`` builds one.
     """
 
     dim: int

@@ -192,8 +192,11 @@ class _NormSum:
         by_size, maxabs = {}, []
         for term in terms:
             w = np.broadcast_to(np.asarray(term.weight, dtype=float), (n,))
-            A = np.asarray(term.A, dtype=float)
-            b = np.broadcast_to(np.asarray(term.b, dtype=float), A.shape[:-1])
+            # C-ordered copies: numpy's products then take the same path
+            # whether a term's data were broadcast views or not
+            A = np.ascontiguousarray(term.A, dtype=float)
+            b = np.ascontiguousarray(np.broadcast_to(
+                np.asarray(term.b, dtype=float), A.shape[:-1]))
             if term.maxabs:
                 maxabs.append((w, A.reshape(A.shape[0], -1, A.shape[-1]),
                                b.reshape(b.shape[0], -1)))

@@ -57,9 +57,7 @@ class TestRoundTrips:
         z = np.array([0.3, -1.2, 0.7])
         for g in gauges:
             out = decode_gauge(encode_gauge(g), n)
-            v1, _ = g.value_nodes(z)
-            v2, _ = out.value_nodes(z)
-            assert np.allclose(v1, v2, atol=1e-12)
+            assert np.allclose(g.values(z), out.values(z), atol=1e-12)
 
     def test_extension_problem(self):
         problem = extension_instance(1, n_nodes=8, dim=3, dim_y=1,
@@ -293,6 +291,33 @@ class TestCLI:
                                              "bogus": 1})
         path = write_instance(tmp_path, "bogus.json", inst)
         assert main(["decompose", path, "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("command, extra, message", [
+        ("decompose", {"epsilon": 0.1}, "decompose: unknown keys ['epsilon']"),
+        ("verify", {"target": "decompose", "epsilon": 0.1, "delta": 5.0,
+                    "order": [0]},
+         "verify: unknown keys ['epsilon', 'delta', 'order']"),
+        ("verify", {"target": "absolute_continuity", "epsilon": 1.0,
+                    "delta": 5.0}, "verify: unknown keys ['delta']"),
+        ("verify", {"target": "extend"}, "verify: unknown keys ['map']"),
+        ("verify", {"target": "decompose", "map": None},
+         "verify: missing keys ['map']"),
+        ("verify", {"target": "absolute_continuity"},
+         "verify: missing keys ['epsilon']"),
+    ])
+    def test_verify_and_decompose_check_their_keys(self, tmp_path, capsys,
+                                                   command, extra, message):
+        payload = {"map": encode_map_field(crossing_map_field(path_grid(6))),
+                   **extra}
+        if payload["map"] is None:
+            del payload["map"]
+        if extra.get("target") == "extend":
+            payload.update(encode_extension_problem(extension_instance(
+                6, n_nodes=6, dim=3, dim_y=1, delta=0.1, margin=0.5)))
+        path = write_instance(tmp_path, "inst.json",
+                              encode_instance(command, payload))
+        assert main([command, path, "--out", str(tmp_path / "o")]) == 1
+        assert message in capsys.readouterr().err
 
     def test_verify_absolute_continuity(self, tmp_path):
         g = path_grid(8)

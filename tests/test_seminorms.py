@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from tracefield import seminorms
 from tracefield.seminorms import (AugmentedGauge, BaseNorm, MaxAbsLinear,
-                                  Quotient, ScaledNorm, SeminormError,
+                                  PiecewiseNodes, Quotient, ScaledByField,
+                                  ScaledNorm, SeminormError,
                                   SubspaceDistance, SumGauge,
                                   VectorSpaceModel, balanced_chain,
                                   inf_convolve, quotient_seminorms)
@@ -37,15 +38,73 @@ class TestEvalExamples:
             MaxAbsLinear(np.eye(3), N_NODES, scale=c)
 
     def test_zero_vector(self):
-        assert scaled2().value_nodes(np.zeros(3))[0][2] == 0.0
+        assert scaled2().values(np.zeros(3))[2] == 0.0
 
     def test_scaled_two_norm(self):
         m = ScaledNorm(2.0, N_NODES, 2)
-        assert m.value_nodes([1.0, 0.0])[0][0] == pytest.approx(2.0)
+        assert m.values([1.0, 0.0])[0] == pytest.approx(2.0)
 
     def test_max_abs_linear(self):
         m = MaxAbsLinear([[1, 0], [1, 1]], N_NODES)
-        assert m.value_nodes([1.0, -1.0])[0][3] == pytest.approx(1.0)
+        assert m.values([1.0, -1.0])[3] == pytest.approx(1.0)
+
+
+def every_kind():
+    """One gauge of every kind on N_NODES nodes of R^3, by name."""
+    rng = np.random.default_rng(3)
+    c = rng.uniform(0.5, 2.0, N_NODES)
+    l2 = ScaledNorm(c, N_NODES, 3)
+    mal = MaxAbsLinear(rng.standard_normal((4, 3)), N_NODES, c)
+    w = np.eye(3)[2:]
+    bar, tilde = quotient_seminorms(l2, VectorSpaceModel(
+        3, BaseNorm(2.0), np.eye(3)[:2], w), 0.3)
+    return {
+        "scaled_l1": ScaledNorm(c, N_NODES, 3, BaseNorm(1.0)),
+        "scaled_l2": l2,
+        "scaled_linf": ScaledNorm(c, N_NODES, 3, BaseNorm(float("inf"))),
+        "scaled_weighted": ScaledNorm(c, N_NODES, 3,
+                                      BaseNorm(1.0, [1.0, 2.0, 0.5])),
+        "max_abs_linear": mal,
+        "sum": SumGauge([l2, mal]),
+        "node_scaled": ScaledByField(mal, rng.uniform(0, 1, N_NODES)),
+        "piecewise_nodes": PiecewiseNodes(np.arange(N_NODES) < 2, l2, mal),
+        "quotient_aug_l1": AugmentedGauge(l2, [(0.2, SubspaceDistance(
+            w, BaseNorm(1.0)))]),
+        "quotient_aug_l2": AugmentedGauge(mal, [(0.2, SubspaceDistance(
+            w, BaseNorm(2.0)))]),
+        "quotient_aug_per_node": AugmentedGauge(l2, [(0.2, [SubspaceDistance(
+            np.eye(3)[t % 3:t % 3 + 1], BaseNorm(2.0))
+            for t in range(N_NODES)])]),
+        "quotient_bar": bar,
+        "quotient_tilde": tilde,
+        "inf_conv": inf_convolve(l2, mal, np.eye(3)[:1]),
+        "node_scaled_quotient": ScaledByField(bar, c),
+    }
+
+
+class TestShapeRule:
+    """``values`` broadcasts Z against (n_nodes, dim): a point shared by all
+    nodes, given once, has the values of its copy at every node."""
+
+    @pytest.mark.parametrize("kind", list(every_kind()))
+    def test_shared_point_equals_its_broadcast(self, kind):
+        gauge = every_kind()[kind]
+        zs = np.random.default_rng(4).standard_normal((2, 3))
+        full = gauge.values(np.broadcast_to(zs[:, None, :], (2, N_NODES, 3)))
+        assert full.shape == (2, N_NODES)
+        assert np.array_equal(gauge.values(zs[:, None, :]), full)
+        one = gauge.values(zs[0])
+        assert one.shape == (N_NODES,)
+        assert np.array_equal(one, full[0])
+
+    @pytest.mark.parametrize("shape", [(2, N_NODES - 1, 3), (N_NODES, 2),
+                                       (2, 1, 4), (4,)])
+    def test_other_shapes_are_rejected(self, shape):
+        gauges = every_kind()
+        for kind in ("scaled_l2", "max_abs_linear", "quotient_aug_per_node",
+                     "quotient_bar"):
+            with pytest.raises(SeminormError, match=r"\(\.\.\., 1, 3\)"):
+                gauges[kind].values(np.zeros(shape))
 
 
 class TestGaugeAxioms:
@@ -64,11 +123,11 @@ class TestGaugeAxioms:
         m = SumGauge(gauges)
         x = rng.standard_normal(3)
         y = rng.standard_normal(3)
-        vx, _ = m.value_nodes(x)
-        vy, _ = m.value_nodes(y)
-        vxy, _ = m.value_nodes(x + y)
+        vx = m.values(x)
+        vy = m.values(y)
+        vxy = m.values(x + y)
         assert np.all(vxy <= vx + vy + 1e-9)
-        vax, _ = m.value_nodes(a * x)
+        vax = m.values(a * x)
         assert np.max(np.abs(vax - abs(a) * vx)) <= 1e-9 * (1 + abs(a))
 
     def test_quotient_kinds_sublinear_via_witness_exchange(self, rng):
@@ -99,23 +158,22 @@ class TestMDelta:
         m = scaled2(dim=2)
         md = m_delta(m, self.model2(), 0.3)
         z = np.array([0.0, 1.5])
-        assert md.value_nodes(z)[0][1] == pytest.approx(
-            m.value_nodes(z)[0][1])
+        assert md.values(z)[1] == pytest.approx(m.values(z)[1])
 
     def test_full_nilspace_collapses(self):
         model = VectorSpaceModel(2, BaseNorm(2.0), np.eye(2)[:1],
                                  np.eye(2)[1:], nilspace=np.eye(2))
         zero = ScaledNorm(0.0, N_NODES, 2)
         for v in model.nilspace:
-            assert np.all(zero.value_nodes(v)[0] == 0.0)
+            assert np.all(zero.values(v) == 0.0)
         md = m_delta(zero, model, 0.7)
         z = np.array([1.3, -0.4])
-        assert md.value_nodes(z)[0][0] == pytest.approx(0.0, abs=1e-14)
+        assert md.values(z)[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_unit_distance_to_complement(self):
         m = scaled2(dim=2)
         md = m_delta(m, self.model2(), 0.25)
-        assert md.value_nodes([1.0, 0.0])[0][0] == pytest.approx(1.0 + 0.25)
+        assert md.values([1.0, 0.0])[0] == pytest.approx(1.0 + 0.25)
 
     def test_sandwich(self, rng):
         m = ScaledNorm(rng.uniform(0.5, 2, N_NODES), N_NODES, 3)
@@ -123,8 +181,8 @@ class TestMDelta:
         md = m_delta(m, model, 0.5)
         for _ in range(20):
             z = rng.standard_normal(3)
-            base, _ = m.value_nodes(z)
-            aug, _ = md.value_nodes(z)
+            base = m.values(z)
+            aug = md.values(z)
             assert np.all(base - 1e-12 <= aug)
             assert np.all(aug <= base + 0.5 * np.linalg.norm(z) + 1e-12)
 
@@ -178,7 +236,7 @@ class TestQuotientPair:
         bar, tilde = quotient_seminorms(m, model, 0.5)
         z = np.array([0.6, -0.8])
         vb, _ = bar.value_nodes(z)
-        expected = m.value_nodes(z)[0][0] + 0.5 * 1.0
+        expected = m.values(z)[0] + 0.5 * 1.0
         assert vb[0] == pytest.approx(expected, abs=1e-12)
 
     def test_complement_vector_collapses_to_zero(self):
@@ -293,7 +351,7 @@ class TestInfConvolve:
         ic = inf_convolve(m1, m2, np.zeros((0, 3)))
         z = rng.standard_normal(3)
         v, _ = ic.value_nodes(z)
-        base, _ = m2.value_nodes(z)
+        base = m2.values(z)
         assert np.allclose(v, base, atol=1e-12)
 
     def test_norm_selfconvolution(self):
@@ -316,7 +374,7 @@ class TestInfConvolve:
         ic = inf_convolve(m1, m2, f)
         x = np.array([0.7, -0.2, 0.0])   # inside span(f)
         v, _ = ic.value_nodes(x)
-        v1, _ = m1.value_nodes(x)
+        v1 = m1.values(x)
         assert np.all(v <= v1 + 1e-12)
 
 
